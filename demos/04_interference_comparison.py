@@ -3,8 +3,8 @@
 A user parked on the same four slots every frame keeps colliding with an
 interferer that sits on one of them.  A user cycling a generated sequence
 spends only 1/t of its claims on any one slot, so the hit rate, and with it
-the symbol error rate, drops.  Frame counts here are trimmed for a quick
-run; the acceptance tests repeat the 10 dB and 15 dB points at full scale.
+the symbol error rate, drops.  The acceptance tests repeat the 10 dB and
+15 dB points at 100000 frames.
 """
 from hcskit import (
     FixedScheme,

@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--script", required=True, help="JSON array of join/leave events")
     p.add_argument("--out", required=True, help="trace JSON path")
     p.add_argument("--audit", default=None, help="audit CSV path (default: <out>.audit.csv)")
-    p.add_argument("--alignment", choices=simulator_choices(), default="global")
+    p.add_argument("--alignment", choices=sac.ALIGNMENTS, default="global")
     p.add_argument("--sync-delay", type=int, default=0)
     p.add_argument("--assign-seed", type=int, default=None, help="seeded-random assignment")
     p.set_defaults(func=_cmd_sac_trace)
@@ -539,10 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pipeline)
 
     return parser
-
-
-def simulator_choices() -> tuple[str, ...]:
-    return sac.ALIGNMENTS
 
 
 def _fail(code: int, kind: str, exc: BaseException) -> int:

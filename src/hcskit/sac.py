@@ -10,6 +10,7 @@ and collision freedom carries over from the verified set.
 """
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -124,11 +125,20 @@ class SacState:
         return self._log(SacEvent(frame=frame, kind="queued", user=user, level=level))
 
     def release(self, user: str, frame: int) -> list[SacEvent]:
-        """Leave; frees the sequence and grants it to the queue head, if any."""
+        """Leave; frees the sequence and grants it to the queue head, if any.
+
+        A user still waiting leaves its level's queue; the released event
+        then carries no sequence.
+        """
         self._advance(frame)
         assignment = self.assignments.pop(user, None)
         if assignment is None:
-            raise ValueError(f"user {user!r} holds no sequence")
+            for level, queue in enumerate(self.queues):
+                if user in queue:
+                    queue.remove(user)
+                    event = SacEvent(frame=frame, kind="released", user=user, level=level)
+                    return [self._log(event)]
+            raise ValueError(f"user {user!r} holds no sequence and is not waiting")
         level = assignment.level
         out = [
             self._log(
@@ -219,6 +229,25 @@ def init(
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_entry(entry, pos: int) -> None:
+    if not isinstance(entry, dict):
+        raise ValueError(f"script entry {pos}: expected an object, got {entry!r}")
+    frame = entry.get("frame")
+    if not _is_int(frame) or frame < 0:
+        raise ValueError(f"script entry {pos}: frame must be an integer >= 0, got {frame!r}")
+    action = entry.get("action")
+    if action not in ("join", "leave"):
+        raise ValueError(f"script entry {pos}: unknown action {action!r}")
+    if not isinstance(entry.get("user"), str):
+        raise ValueError(f"script entry {pos}: user must be a name, got {entry.get('user')!r}")
+    if action == "join" and not _is_int(entry.get("level")):
+        raise ValueError(f"script entry {pos}: a join needs an integer level")
+
+
 def run_script(
     hcs_set: HcsSet,
     script: list[dict],
@@ -232,19 +261,17 @@ def run_script(
     "level": i (join only)}; entries are applied in (frame, script order).
     Returns the final state, audit rows (frame, slot, user, level, sequence)
     for every synchronized user in frames 0..max scripted frame, and the
-    (frame, slot) pairs claimed more than once.
+    (frame, slot) pairs claimed more than once.  A malformed entry raises
+    ValueError with its script position before any entry is applied.
     """
+    entries = []
+    for pos, entry in enumerate(script):
+        _check_entry(entry, pos)
+        entries.append((int(entry["frame"]), pos, entry))
+    entries.sort(key=lambda e: (e[0], e[1]))
     state = init(
         hcs_set, alignment=alignment, sync_delay=sync_delay, assign_seed=assign_seed
     )
-    entries = []
-    for pos, entry in enumerate(script):
-        frame = entry["frame"]
-        action = entry["action"]
-        if action not in ("join", "leave"):
-            raise ValueError(f"script entry {pos}: unknown action {action!r}")
-        entries.append((int(frame), pos, entry))
-    entries.sort(key=lambda e: (e[0], e[1]))
 
     audit: list[tuple[int, int, str, int, int]] = []
     collisions: list[tuple[int, int]] = []

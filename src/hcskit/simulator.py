@@ -1,12 +1,13 @@
-"""Monte-Carlo link simulator for slotted transmission under interference.
+"""Link simulator for slotted transmission under interference.
 
 One user transmits binary-antipodal symbols in its per-frame slots over an
 AWGN channel; a subset of the frame's slots is additionally hit by an
 independent Gaussian interferer at a configured power above the signal.
-Hard-decision detection, symbol error rate per SNR point.  Schemes under
-test: a fixed slot tuple reused every frame, or a sequence from a generated
-set cycled frame by frame, which spreads the interference hits across the
-whole frame instead of pinning them to the same slots.
+Hard-decision detection; each SNR point's error count is drawn exactly, as
+two binomial counts, not symbol by symbol.  Schemes under test: a fixed slot
+tuple reused every frame, or a sequence from a generated set cycled frame by
+frame, which spreads the interference hits across the whole frame instead of
+pinning them to the same slots.
 """
 from __future__ import annotations
 
@@ -19,11 +20,16 @@ import numpy as np
 from . import rng
 from .core import HcsSet
 
-_CHUNK_FRAMES = 8192
+
+class _CycledScheme:
+    def frame_slots(self, frames: int) -> np.ndarray:
+        """Slot tuples of ``frames`` successive frames, cycling the slot table."""
+        table = self.cycle_slots()
+        return np.tile(table, (-(-frames // table.shape[0]), 1))[:frames]
 
 
 @dataclass(frozen=True)
-class FixedScheme:
+class FixedScheme(_CycledScheme):
     """Same slot tuple every frame."""
 
     slots: tuple[int, ...]
@@ -44,12 +50,13 @@ class FixedScheme:
         if any(not 0 <= s < t for s in self.slots):
             raise ValueError(f"fixed slots must lie in [0, {t}), got {self.slots}")
 
-    def frame_slots(self, frames: int) -> np.ndarray:
-        return np.tile(np.array(self.slots, dtype=np.int64), (frames, 1))
+    def cycle_slots(self) -> np.ndarray:
+        """Slot table of one cycle: a single frame."""
+        return np.array([self.slots], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
-class HcsScheme:
+class HcsScheme(_CycledScheme):
     """One user's sequence from a set, cycled over successive frames.
 
     Defaults to the first user of the highest level (the largest per-frame
@@ -79,13 +86,21 @@ class HcsScheme:
             )
         self._sequence()
 
-    def frame_slots(self, frames: int) -> np.ndarray:
-        table = self._sequence().frames
-        reps = -(-frames // table.shape[0])
-        return np.tile(table, (reps, 1))[:frames]
+    def cycle_slots(self) -> np.ndarray:
+        """Slot table of one cycle: the sequence's frames."""
+        return self._sequence().frames
 
 
 Scheme = Union[FixedScheme, HcsScheme]
+
+
+def _exposure(scheme: Scheme, interference_slots: Sequence[int], frames: int) -> tuple[int, int]:
+    """(interfered, sent) slot counts over ``frames`` frames, counted per cycle:
+    full cycles times one cycle's hits, plus the leading rows of the last one."""
+    table = scheme.cycle_slots()
+    hit = np.isin(table, np.asarray(tuple(interference_slots), dtype=np.int64)).sum(axis=1)
+    full, rest = divmod(frames, table.shape[0])
+    return full * int(hit.sum()) + int(hit[:rest].sum()), frames * table.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +165,8 @@ def interference_hit_fraction(
         raise ValueError(f"frame count must be positive, got {frames}")
     if t is not None:
         scheme.validate(t)
-    slots = scheme.frame_slots(frames)
-    hits = np.isin(slots, np.asarray(tuple(interference_slots), dtype=np.int64))
-    return float(np.count_nonzero(hits)) / slots.size
+    hit, sent = _exposure(scheme, interference_slots, frames)
+    return hit / sent
 
 
 def simulate_ser(config: SimConfig) -> SerCurve:
@@ -160,40 +174,24 @@ def simulate_ser(config: SimConfig) -> SerCurve:
 
     SNR is symbol energy over noise density; the interferer adds zero-mean
     Gaussian samples at signal power times 10^(power_db/10) in interfered
-    slots.  Each SNR point draws from its own (seed, point index) substream,
-    so curves are reproducible bit for bit and points are independent.
+    slots.  The error count is drawn exactly as Bin(n_clean, Q(1/sqrt(N0/2)))
+    + Bin(n_hit, Q(1/sqrt(N0/2 + 10^(P/10)))), n_hit being the symbols the
+    slot table puts in interfered slots.  Each SNR point draws from its own
+    (seed, point index) substream: reruns are bit-identical per seed, and
+    points are independent.
     """
-    slots = config.scheme.frame_slots(config.frames)
-    r = slots.shape[1]
-    hit_mask = np.isin(slots, np.asarray(config.interference_slots, dtype=np.int64))
-    interference_std = math.sqrt(10.0 ** (config.interference_power_db / 10.0))
-    spl = config.symbols_per_slot
-    total = config.frames * r * spl
-
+    hit, sent = _exposure(config.scheme, config.interference_slots, config.frames)
+    n_hit, total = hit * config.symbols_per_slot, sent * config.symbols_per_slot
+    interference_var = 10.0 ** (config.interference_power_db / 10.0)
     points = []
     for index, snr in enumerate(config.snr_db):
         gen = rng.substream(config.seed, rng.DOMAIN_SIMULATOR, index)
         n0 = 10.0 ** (-snr / 10.0)
-        noise_std = math.sqrt(n0 / 2.0)
-        errors = 0
-        for start in range(0, config.frames, _CHUNK_FRAMES):
-            stop = min(start + _CHUNK_FRAMES, config.frames)
-            shape = (stop - start, r, spl)
-            bits = gen.integers(0, 2, size=shape, dtype=np.int8)
-            received = (1.0 - 2.0 * bits) + gen.normal(0.0, noise_std, size=shape)
-            if config.interference_slots:
-                received += gen.normal(0.0, interference_std, size=shape) * hit_mask[
-                    start:stop, :, None
-                ]
-            errors += int(np.count_nonzero((received < 0.0) != (bits == 1)))
-        points.append(
-            SerPoint(
-                snr_db=float(snr),
-                ser=errors / total,
-                symbols_total=total,
-                symbols_error=errors,
-            )
-        )
+        # Q(1/sqrt(v)) = erfc(1/sqrt(2v))/2, noise variance v = N0/2 (+ interference)
+        p_clean = 0.5 * math.erfc(1.0 / math.sqrt(n0))
+        p_hit = 0.5 * math.erfc(1.0 / math.sqrt(n0 + 2.0 * interference_var))
+        errors = int(gen.binomial(total - n_hit, p_clean)) + int(gen.binomial(n_hit, p_hit))
+        points.append(SerPoint(float(snr), errors / total, total, errors))
     return SerCurve(
         scheme=config.scheme.label,
         scenario=scenario_label(config.interference_slots, config.interference_power_db),
@@ -231,10 +229,11 @@ class ComparisonReport:
 def compare_schemes(config_a: SimConfig, config_b: SimConfig) -> ComparisonReport:
     """Paired SER comparison of two schemes under one scenario.
 
-    Both configs must agree on everything except the scheme.  delta is
-    ser_a - ser_b per point; a point is flagged when scheme B is worse than
-    scheme A by more than three binomial sigmas, i.e. beyond Monte-Carlo
-    noise.
+    Both configs must agree on everything except the scheme and seed.  With
+    equal seeds both arms draw each point from the same (seed, point) substream,
+    so compare_schemes(cfg, cfg) gives delta 0.  delta is ser_a - ser_b per
+    point; sigma is its standard deviation for independent arms, and a point
+    is flagged when scheme B is worse than A by more than three sigmas.
     """
     for name in (
         "t",

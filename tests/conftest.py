@@ -62,8 +62,9 @@ def remake_set(hcs_set, mutate):
 def shadow_events(hcs_set, script):
     """Straight-line reimplementation of the allocator for cross-checking.
 
-    FIFO queues, lowest-id pools, per (frame, script order) application; any
-    divergence from the real allocator's event stream is a bug in one of them.
+    FIFO queues, lowest-id pools, per (frame, script order) application; a
+    waiting user who leaves just drops out of its queue.  Any divergence from
+    the real allocator's event stream is a bug in one of them.
     """
     from bisect import insort
     from collections import deque
@@ -91,6 +92,10 @@ def shadow_events(hcs_set, script):
             else:
                 queues[level].append(user)
                 events.append((frame, "queued", user, level, None))
+        elif user not in held:
+            level = next(i for i, queue in queues.items() if user in queue)
+            queues[level].remove(user)
+            events.append((frame, "released", user, level, None))
         else:
             level, sid = held.pop(user)
             events.append((frame, "released", user, level, sid))
@@ -104,7 +109,7 @@ def shadow_events(hcs_set, script):
 
 
 def random_script(gen, hcs_set, frames):
-    """Valid join/leave script; tracks holders so leaves are always legal."""
+    """Valid join/leave script; tracks holders and waiters so leaves are legal."""
     from collections import deque
 
     num_levels = hcs_set.config.num_levels
@@ -117,11 +122,17 @@ def random_script(gen, hcs_set, frames):
     script = []
     for frame in range(frames):
         for _ in range(int(gen.integers(0, 3))):
-            if held and gen.random() < 0.45:
-                user = sorted(held)[int(gen.integers(len(held)))]
-                level = held.pop(user)
+            present = sorted(held) + sorted(u for q in queues.values() for u in q)
+            if present and gen.random() < 0.45:
+                user = present[int(gen.integers(len(present)))]
                 script.append({"frame": frame, "action": "leave", "user": user})
                 idle.append(user)
+                if user not in held:
+                    for queue in queues.values():
+                        if user in queue:
+                            queue.remove(user)
+                    continue
+                level = held.pop(user)
                 if queues[level]:
                     head = queues[level].popleft()
                     held[head] = level

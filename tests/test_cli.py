@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 
+import pytest
+
 from hcskit import check_bound, enumerate_user_counts, load_set, SystemConfig
 from hcskit.cli import dispatch
 
@@ -342,6 +344,65 @@ class TestSacTrace:
         )
         assert code == 5
         assert "array of events" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            ({"action": "join", "user": "B", "level": 0}, "frame must be an integer >= 0"),
+            ({"frame": -1, "action": "leave", "user": "A"}, "frame must be an integer >= 0"),
+            ({"frame": "2", "action": "leave", "user": "A"}, "frame must be an integer >= 0"),
+            ({"frame": 2.5, "action": "leave", "user": "A"}, "frame must be an integer >= 0"),
+            ({"frame": 2, "action": "leave"}, "user must be a name"),
+            ({"frame": 2, "action": "join", "user": ["B"], "level": 0}, "user must be a name"),
+            ({"frame": 2, "action": "join", "user": "B"}, "a join needs an integer level"),
+            ({"frame": 2, "action": "join", "user": "B", "level": None}, "a join needs an integer level"),
+            ([2, "join", "B"], "expected an object"),
+        ],
+    )
+    def test_malformed_entry_exits_3(self, tmp_path, capsys, entry, reason):
+        set_path = tmp_path / "set2.json"
+        dispatch(gen2_args(set_path))
+        script = tmp_path / "script.json"
+        script.write_text(
+            json.dumps([{"frame": 0, "action": "join", "user": "A", "level": 0}, entry])
+        )
+        out = tmp_path / "trace.json"
+        capsys.readouterr()
+        code = dispatch(
+            ["sac-trace", "--set", str(set_path), "--script", str(script), "--out", str(out)]
+        )
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "value-error"
+        assert err["message"].startswith("script entry 1: " + reason)
+        assert not out.exists()
+
+    def test_waiting_user_leaves(self, tmp_path, capsys):
+        set_path = tmp_path / "set1.json"
+        dispatch(["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "1", "--out", str(set_path)])
+        script = tmp_path / "script.json"
+        script.write_text(
+            json.dumps(
+                [
+                    {"frame": 0, "action": "join", "user": "a", "level": 2},
+                    {"frame": 1, "action": "join", "user": "b", "level": 2},
+                    {"frame": 2, "action": "leave", "user": "b"},
+                ]
+            )
+        )
+        out = tmp_path / "trace.json"
+        code = dispatch(
+            ["sac-trace", "--set", str(set_path), "--script", str(script), "--out", str(out)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        events = json.loads(out.read_text())["events"]
+        assert events[-2]["kind"] == "queued"
+        assert events[-1] == {
+            "frame": 2, "kind": "released", "user": "b", "level": 2, "sequence": None
+        }
 
 
 class TestSimulateAndCompare:

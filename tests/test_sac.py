@@ -52,6 +52,29 @@ class TestAssignmentFlow:
         # C is still waiting, so the pool never saw the sequence
         assert state.pool_sizes()[2] == 0
 
+    def test_waiting_user_leaves_queue(self, set24):
+        # level 2 of set24 has one sequence, so b waits behind a
+        state, _, _ = sac.run_script(
+            set24,
+            [
+                {"frame": 0, "action": "join", "user": "a", "level": 2},
+                {"frame": 1, "action": "join", "user": "b", "level": 2},
+                {"frame": 1, "action": "join", "user": "c", "level": 2},
+                {"frame": 2, "action": "leave", "user": "b"},
+            ],
+        )
+        assert state.events[-1].to_dict() == {
+            "frame": 2, "kind": "released", "user": "b", "level": 2, "sequence": None
+        }
+        assert list(state.queues[2]) == ["c"]
+        out = state.release("a", 3)
+        assert [(e.kind, e.user, e.sequence) for e in out] == [
+            ("released", "a", 7),
+            ("granted-from-queue", "c", 7),
+        ]
+        with pytest.raises(ValueError, match="holds no sequence and is not waiting"):
+            state.release("b", 4)
+
     def test_release_to_pool_restores_order(self, set24):
         state = sac.init(set24)
         state.request_access("A", 1, 0)

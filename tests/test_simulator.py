@@ -11,8 +11,10 @@ from hcskit import (
     compare_schemes,
     construct1,
     interference_hit_fraction,
+    rng,
     scenario_label,
     simulate_ser,
+    simulator,
 )
 
 
@@ -29,6 +31,37 @@ def expected_ser(snr_db, hit_fraction=0.0, power_db=10.0):
         return clean
     hit = qfunc(1.0 / math.sqrt(n0 / 2.0 + 10.0 ** (power_db / 10.0)))
     return (1.0 - hit_fraction) * clean + hit_fraction * hit
+
+
+def mixture_moments(n_clean, n_hit, snr_db, power_db):
+    # mean and variance of Bin(n_clean, p_clean) + Bin(n_hit, p_hit)
+    p_clean = expected_ser(snr_db)
+    p_hit = expected_ser(snr_db, hit_fraction=1.0, power_db=power_db)
+    mean = n_clean * p_clean + n_hit * p_hit
+    var = n_clean * p_clean * (1 - p_clean) + n_hit * p_hit * (1 - p_hit)
+    return mean, var
+
+
+def symbol_level_errors(config):
+    """Error count per SNR point, drawing every bit and noise sample.
+
+    The reference the binomial draw in simulate_ser must agree with in
+    distribution: antipodal symbols, AWGN, and an independent Gaussian
+    interferer added in interfered slots, with hard decisions.
+    """
+    slots = config.scheme.frame_slots(config.frames)
+    shape = slots.shape + (config.symbols_per_slot,)
+    hit_mask = np.isin(slots, config.interference_slots)[:, :, None]
+    interference_std = math.sqrt(10.0 ** (config.interference_power_db / 10.0))
+    errors = []
+    for index, snr in enumerate(config.snr_db):
+        gen = rng.substream(config.seed, rng.DOMAIN_SIMULATOR, index)
+        noise_std = math.sqrt(10.0 ** (-snr / 10.0) / 2.0)
+        bits = gen.integers(0, 2, size=shape, dtype=np.int8)
+        received = (1.0 - 2.0 * bits) + gen.normal(0.0, noise_std, size=shape)
+        received += gen.normal(0.0, interference_std, size=shape) * hit_mask
+        errors.append(int(np.count_nonzero((received < 0.0) != (bits == 1))))
+    return errors
 
 
 class TestSchemes:
@@ -104,6 +137,16 @@ class TestHitFraction:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="positive"):
             interference_hit_fraction(FixedScheme((0,)), [0], frames=0)
+
+    def test_per_cycle_count_matches_tiled_table(self, set128, set32):
+        # frame counts off the cycle lengths (1, 32, 128) leave a partial last cycle
+        schemes = (HcsScheme(set128), HcsScheme(set32, level=1), FixedScheme((0, 2, 4, 5)))
+        for scheme in schemes:
+            for frames in (1, 31, 33, 127, 300, 1000):
+                tiled = scheme.frame_slots(frames)
+                for slots in ((2,), (1, 4, 5)):
+                    hit = int(np.isin(tiled, slots).sum())
+                    assert simulator._exposure(scheme, slots, frames) == (hit, tiled.size)
 
 
 class TestSimulatedSer:
@@ -194,6 +237,35 @@ class TestSimulatedSer:
         a = simulate_ser(SimConfig(**base, seed=1)).points[0]
         b = simulate_ser(SimConfig(**base, seed=2)).points[0]
         assert a.symbols_error != b.symbols_error
+
+
+class TestSymbolLevelOracle:
+    def test_binomial_draw_matches_symbol_level(self, set128):
+        # 300 frames is not a whole number of 128-frame cycles
+        base = dict(
+            t=8,
+            scheme=HcsScheme(set128),
+            snr_db=(0.0, 4.0),
+            interference_slots=(2,),
+            symbols_per_slot=8,
+            frames=300,
+        )
+        seeds = range(40)
+        binomial = np.array(
+            [[p.symbols_error for p in simulate_ser(SimConfig(**base, seed=s)).points] for s in seeds]
+        )
+        # the oracle runs on other seeds, so the two samples are independent
+        oracle = np.array([symbol_level_errors(SimConfig(**base, seed=10_000 + s)) for s in seeds])
+        slots = base["scheme"].frame_slots(base["frames"])
+        n_hit = int(np.isin(slots, base["interference_slots"]).sum()) * 8
+        n_clean = slots.size * 8 - n_hit
+        for k, snr in enumerate(base["snr_db"]):
+            mean, var = mixture_moments(n_clean, n_hit, snr, 10.0)
+            # sigma of a 40-seed mean; the difference of two such means has sqrt(2) sigma
+            sigma = math.sqrt(var / len(seeds))
+            assert abs(binomial[:, k].mean() - mean) < 4 * sigma
+            assert abs(oracle[:, k].mean() - mean) < 4 * sigma
+            assert abs(binomial[:, k].mean() - oracle[:, k].mean()) < 4 * math.sqrt(2) * sigma
 
 
 class TestComparison:
