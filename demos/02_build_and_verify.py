@@ -14,9 +14,8 @@ def report_lines(hcs_set, name):
     report = verify(hcs_set)
     print(f"{name}: length {hcs_set.length}, {len(hcs_set.sequences)} sequences, "
           f"t={hcs_set.t}, verdict {'PASS' if report.passed else 'FAIL'}")
-    for gate in ("zero_correlation", "occupancy", "frame_distinctness", "slot_coverage"):
-        entry = report.to_dict()[gate]
-        print(f"    {gate}: {entry['detail']}")
+    for name, check in report.gates():
+        print(f"    {name}: {check.detail}")
     print(f"    whole-set occupancy: {np.unique(occupancy_histogram(hcs_set)).tolist()} "
           f"claims per slot")
 

@@ -259,16 +259,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         sys.stdout.write(dumps_document(doc))
     else:
-        for name in (
-            "zero_correlation",
-            "occupancy",
-            "frame_distinctness",
-            "slot_coverage",
-            "load_within_capacity",
-        ):
-            entry = doc[name]
-            mark = "pass" if entry["passed"] else "FAIL"
-            print(f"{mark:4s}  {name}: {entry['detail']}")
+        for name, check in report.gates():
+            mark = "pass" if check.passed else "FAIL"
+            print(f"{mark:4s}  {name}: {check.detail}")
         for warning in doc["warnings"]:
             print(f"note  {warning}")
         print(("PASS" if report.passed else "FAIL") + f"  {args.set}")

@@ -256,10 +256,11 @@ def _as_int(value, where: str) -> int:
 def from_document(doc) -> HcsSet:
     """Parse an interchange document; raises SchemaError naming the bad spot.
 
-    Structural validity only: counts, shapes, and types are enforced here,
-    while semantic slot properties (range, collisions, occupancy) are the
-    verification module's job so that corrupted-but-well-formed sets can be
-    loaded and then diagnosed.
+    Structural validity only: counts, shapes, and types are enforced here
+    (slots must fit in int64, and a c2 set's params d and n must be ints
+    >= 0), while semantic slot properties (range, collisions, occupancy) are
+    the verification module's job so that corrupted-but-well-formed sets can
+    be loaded and then diagnosed.
     """
     if not isinstance(doc, dict):
         raise SchemaError(f"document root: expected an object, got {type(doc).__name__}")
@@ -293,6 +294,14 @@ def from_document(doc) -> HcsSet:
     params = construction.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("construction.params: expected an object")
+    if kind == "c2":
+        # verify reads each run's slot visits d**n off these two
+        for key in ("d", "n"):
+            value = params.get(key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise SchemaError(
+                    f"construction.params.{key}: expected an integer >= 0, got {value!r}"
+                )
 
     seed = params.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -333,7 +342,11 @@ def from_document(doc) -> HcsSet:
             for slot in frame:
                 if isinstance(slot, bool) or not isinstance(slot, int):
                     raise SchemaError(f"{where}.frames[{fi}]: slots must be integers")
-        sequences.append(HcsSequence(level=level, user=user, frames=np.array(frames, dtype=np.int64)))
+        try:
+            table = np.array(frames, dtype=np.int64)
+        except OverflowError:
+            raise SchemaError(f"{where}.frames: slots must fit in int64") from None
+        sequences.append(HcsSequence(level=level, user=user, frames=table))
     pairs = [(s.level, s.user) for s in sequences]
     if len(pairs) != len(set(pairs)):
         raise SchemaError("sequences: duplicate (level, user) entry")

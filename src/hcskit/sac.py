@@ -212,18 +212,9 @@ def init(
     from .verification import verify
 
     report = verify(hcs_set)
-    if not report.passed:
-        for name in (
-            "zero_correlation",
-            "occupancy",
-            "frame_distinctness",
-            "slot_coverage",
-            "load_within_capacity",
-        ):
-            check = getattr(report, name)
-            if not check.passed:
-                raise ConfigError(f"set failed verification ({name}): {check.detail}")
-        raise ConfigError("set failed verification")
+    for name, check in report.gates():
+        if not check.passed:
+            raise ConfigError(f"set failed verification ({name}): {check.detail}")
     return SacState(
         hcs_set, alignment=alignment, sync_delay=sync_delay, assign_seed=assign_seed
     )

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import BoundReport, check_bound
-from .core import HcsSet, subsequences
+from .core import HcsSet
+
+# largest (frame, slot) claim grid verify builds: 2 GiB of int64 counts
+MAX_CLAIM_CELLS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class CheckResult:
 class VerificationReport:
     """Gate results plus informational metrics for one sequence set.
 
-    Gates (all must pass):
+    Gates (all must pass, listed by ``gates()``):
       zero_correlation      no two flattened slot runs agree at any aligned
                             position
       occupancy             per-slot usage counts match the construction's
@@ -55,41 +58,31 @@ class VerificationReport:
     uniformity_deviation: float
     warnings: tuple[str, ...] = ()
 
-    @property
-    def passed(self) -> bool:
-        return bool(
-            self.zero_correlation
-            and self.occupancy
-            and self.frame_distinctness
-            and self.slot_coverage
-            and self.load_within_capacity
+    def gates(self) -> tuple[tuple[str, CheckResult], ...]:
+        """The five gates as (name, result) pairs, in report order."""
+        return (
+            ("zero_correlation", self.zero_correlation),
+            ("occupancy", self.occupancy),
+            ("frame_distinctness", self.frame_distinctness),
+            ("slot_coverage", self.slot_coverage),
+            ("load_within_capacity", self.load_within_capacity),
         )
 
+    @property
+    def passed(self) -> bool:
+        return all(check.passed for _, check in self.gates())
+
     def to_dict(self) -> dict:
+        doc = {
+            name: {"passed": check.passed, "detail": check.detail}
+            for name, check in self.gates()
+        }
+        doc["occupancy"].update(
+            counts=list(self.occupancy_counts), expected=self.expected_occupancy
+        )
         return {
             "passed": self.passed,
-            "zero_correlation": {
-                "passed": self.zero_correlation.passed,
-                "detail": self.zero_correlation.detail,
-            },
-            "occupancy": {
-                "passed": self.occupancy.passed,
-                "detail": self.occupancy.detail,
-                "counts": list(self.occupancy_counts),
-                "expected": self.expected_occupancy,
-            },
-            "frame_distinctness": {
-                "passed": self.frame_distinctness.passed,
-                "detail": self.frame_distinctness.detail,
-            },
-            "slot_coverage": {
-                "passed": self.slot_coverage.passed,
-                "detail": self.slot_coverage.detail,
-            },
-            "load_within_capacity": {
-                "passed": self.load_within_capacity.passed,
-                "detail": self.load_within_capacity.detail,
-            },
+            **doc,
             "bound": self.bound.to_dict(),
             "length": self.length,
             "uniformity_deviation": self.uniformity_deviation,
@@ -117,26 +110,53 @@ def _label(labels, index) -> str:
     return f"level {level} user {user} run {theta}"
 
 
+def _claim_counts(hcs_set: HcsSet) -> tuple[np.ndarray, np.ndarray]:
+    """(frame, slot) claim counts and (run, slot) visit counts of an in-range set.
+
+    One (k, l) buffer holds the runs as frame*t + slot cells for the first
+    bincount and is rewritten in place to run*t + slot cells for the second.
+    """
+    t = hcs_set.t
+    length = hcs_set.length
+    # the leading empty block gives an empty roster a (0, l) buffer
+    runs = [np.empty((0, length), np.int64)] + [s.frames.T for s in hcs_set.sequences]
+    cells = np.concatenate(runs)
+    frame_base = np.arange(length, dtype=np.int64) * t
+    cells += frame_base
+    claims = np.bincount(cells.ravel(), minlength=length * t).reshape(length, t)
+    k = len(cells)
+    cells -= frame_base
+    cells += (np.arange(k, dtype=np.int64) * t)[:, None]
+    per_run = np.bincount(cells.ravel(), minlength=k * t).reshape(k, t)
+    return claims, per_run
+
+
 def verify(hcs_set: HcsSet) -> VerificationReport:
-    """Full check of a sequence set; see VerificationReport for the gates."""
+    """Full check of a sequence set; see VerificationReport for the gates.
+
+    zero_correlation and slot_coverage are read off one (frame, slot) claim
+    count; occupancy and the uniformity deviation off one (run, slot) visit
+    count.  Those counts have no cell for a slot outside 0..t-1, so a set
+    holding one fails zero_correlation, occupancy and slot_coverage outright
+    while frame_distinctness names the value.  Raises ValueError when the
+    claim grid (l * t cells) would exceed MAX_CLAIM_CELLS.
+    """
     cfg = hcs_set.config
     t = cfg.t
     length = hcs_set.length
+    if length * t > MAX_CLAIM_CELLS:
+        raise ValueError(
+            f"set too large to verify: {length} frames of {t} slots exceed "
+            f"{MAX_CLAIM_CELLS} claim cells"
+        )
+    seqs = hcs_set.sequences
+    labels = [(s.level, s.user, theta) for s in seqs for theta in range(s.slots_per_frame)]
+    k = len(labels)
     warnings: list[str] = []
-
-    labels = []
-    runs = []
-    for level, user, theta, run in subsequences(hcs_set):
-        labels.append((level, user, theta))
-        runs.append(run)
-    k = len(runs)
-    stack = np.stack(runs) if k else np.empty((0, length), dtype=np.int64)
-
-    in_range = bool(k == 0 or (stack.min() >= 0 and stack.max() < t))
 
     # frame tuples: distinct in-range slots
     frame_distinctness = CheckResult(True, "every frame holds distinct in-range slots")
-    for s in hcs_set.sequences:
+    for s in seqs:
         bad = np.nonzero((s.frames < 0) | (s.frames >= t))
         if bad[0].size:
             f = int(bad[0][0])
@@ -158,122 +178,63 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
                 )
                 break
 
-    # aligned collisions: equivalent to demanding zero Hamming correlation at
-    # shift 0 for every pair of flattened runs, but scanned column-wise
-    zero_correlation = CheckResult(
-        True, "no aligned agreement between any two slot runs" if k > 1 else "fewer than two slot runs"
+    zero_correlation = occupancy = slot_coverage = CheckResult(
+        False, "set contains out-of-range slot values"
     )
-    if k > 1:
-        order = np.argsort(stack, axis=0, kind="stable")
-        ordered = np.take_along_axis(stack, order, axis=0)
-        hit_rows, hit_cols = np.nonzero(np.diff(ordered, axis=0) == 0)
-        if hit_rows.size:
-            first = int(np.argmin(hit_cols))
-            pos = int(hit_cols[first])
-            row = int(hit_rows[first])
-            a = int(order[row, pos])
-            b = int(order[row + 1, pos])
-            value = int(stack[a, pos])
+    expected: int | None = None
+    uniformity = 0.0
+    if not all(s.frames.min() >= 0 and s.frames.max() < t for s in seqs):
+        values = np.concatenate([s.frames.ravel() for s in seqs])
+        counts = np.bincount(values[(values >= 0) & (values < t)], minlength=t)
+        warnings.append("histogram ignores out-of-range slot values")
+    else:
+        claims, per_run = _claim_counts(hcs_set)
+        counts = per_run.sum(axis=0)
+        if k:
+            uniformity = float(np.abs(per_run - length / t).max())
+
+        # a doubled claim is an aligned agreement of two runs: nonzero
+        # Hamming correlation at shift 0.  Witness: the lowest doubled slot
+        # of the first such frame and the first two runs that hold it.
+        doubled = np.flatnonzero(claims.max(axis=1) > 1)
+        if doubled.size:
+            f = int(doubled[0])
+            value = int(np.argmax(claims[f] > 1))
+            a, b = np.flatnonzero(np.concatenate([s.frames[f] for s in seqs]) == value)[:2]
             zero_correlation = CheckResult(
                 False,
                 f"{_label(labels, a)} and {_label(labels, b)} both claim slot {value} "
-                f"at position {pos}",
+                f"at position {f}",
             )
-
-    # occupancy, keyed by provenance
-    kind = hcs_set.provenance.get("kind")
-    saturated = cfg.saturated
-    if in_range:
-        counts = np.bincount(stack.ravel(), minlength=t) if k else np.zeros(t, dtype=np.int64)
-    else:
-        valid = stack[(stack >= 0) & (stack < t)]
-        counts = np.bincount(valid, minlength=t) if valid.size else np.zeros(t, dtype=np.int64)
-        warnings.append("histogram ignores out-of-range slot values")
-    counts = counts.astype(np.int64)
-
-    expected: int | None = None
-    if not in_range:
-        occupancy = CheckResult(False, "set contains out-of-range slot values")
-    elif kind == "c1":
-        if saturated:
-            expected = length
-            occupancy = _exact_counts(counts, length)
         else:
-            occupancy = CheckResult(
+            zero_correlation = CheckResult(
                 True,
-                "sub-saturated roster: exact-count check not applicable; "
-                "per-frame single use enforced by the collision checks",
-            )
-    elif kind == "c2":
-        per_run = int(hcs_set.provenance.get("params", {}).get("d", 0)) ** int(
-            hcs_set.provenance.get("params", {}).get("n", 0)
-        )
-        occupancy = CheckResult(True, f"every run visits each slot exactly {per_run} times")
-        for idx in range(k):
-            run_counts = np.bincount(stack[idx], minlength=t)
-            if not np.all(run_counts == per_run):
-                bad_slot = int(np.nonzero(run_counts != per_run)[0][0])
-                occupancy = CheckResult(
-                    False,
-                    f"{_label(labels, idx)} visits slot {bad_slot} "
-                    f"{int(run_counts[bad_slot])} times, expected {per_run}",
-                )
-                break
-        if occupancy.passed and saturated:
-            expected = length
-            whole = _exact_counts(counts, length)
-            if not whole.passed:
-                occupancy = whole
-    else:
-        warnings.append(
-            f"unknown construction kind {kind!r}: occupancy downgraded to within-set uniformity"
-        )
-        if k == 0:
-            occupancy = CheckResult(True, "empty roster")
-        elif np.all(counts == counts[0]):
-            occupancy = CheckResult(True, f"all slots used {int(counts[0])} times")
-        else:
-            occupancy = CheckResult(
-                False,
-                f"slot usage not uniform: min {int(counts.min())}, max {int(counts.max())}",
+                "no aligned agreement between any two slot runs" if k > 1 else "fewer than two slot runs",
             )
 
-    # frame-level coverage
-    if not in_range:
-        slot_coverage = CheckResult(False, "set contains out-of-range slot values")
-    elif k == 0:
-        slot_coverage = CheckResult(True, "empty roster")
-    elif saturated:
-        cols = np.sort(stack, axis=0)
-        target = np.arange(t, dtype=stack.dtype)[:, None]
-        if cols.shape[0] == t and np.array_equal(cols, np.broadcast_to(target, cols.shape)):
+        occupancy, expected = _occupancy(hcs_set, per_run, counts, labels, warnings)
+
+        if k == 0:
+            slot_coverage = CheckResult(True, "empty roster")
+        elif cfg.saturated:
+            # k = t runs put t claims in every frame, so a frame covers every
+            # slot exactly once unless it holds a doubled claim
             slot_coverage = CheckResult(True, "every frame uses all slots exactly once")
+            if doubled.size:
+                slot_coverage = CheckResult(
+                    False, f"frame {int(doubled[0])} does not cover every slot exactly once"
+                )
         else:
-            bad = int(np.nonzero((cols != target).any(axis=0))[0][0])
+            # sub-saturated: no double-claims per frame is the applicable reading
+            dup_free = zero_correlation.passed and frame_distinctness.passed
             slot_coverage = CheckResult(
-                False, f"frame {bad} does not cover every slot exactly once"
+                dup_free,
+                "sub-saturated roster: no slot claimed twice in any frame"
+                if dup_free
+                else "a slot is claimed twice in some frame",
             )
-    else:
-        # sub-saturated: no double-claims per frame is the applicable reading
-        dup_free = zero_correlation.passed and frame_distinctness.passed
-        slot_coverage = CheckResult(
-            dup_free,
-            "sub-saturated roster: no slot claimed twice in any frame"
-            if dup_free
-            else "a slot is claimed twice in some frame",
-        )
 
     bound_report = check_bound(cfg)
-    load_within_capacity = CheckResult(
-        bound_report.feasible,
-        f"load {bound_report.load} of capacity {bound_report.capacity}",
-    )
-
-    uniformity = 0.0
-    if k and in_range:
-        per_run_counts = np.stack([np.bincount(row, minlength=t) for row in stack])
-        uniformity = float(np.abs(per_run_counts - length / t).max())
-
     return VerificationReport(
         zero_correlation=zero_correlation,
         occupancy=occupancy,
@@ -282,11 +243,60 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
         frame_distinctness=frame_distinctness,
         bound=bound_report,
         slot_coverage=slot_coverage,
-        load_within_capacity=load_within_capacity,
+        load_within_capacity=CheckResult(
+            bound_report.feasible,
+            f"load {bound_report.load} of capacity {bound_report.capacity}",
+        ),
         length=length,
         uniformity_deviation=uniformity,
         warnings=tuple(warnings),
     )
+
+
+def _occupancy(hcs_set, per_run, counts, labels, warnings) -> tuple[CheckResult, int | None]:
+    """Occupancy gate of an in-range set, keyed by provenance, and its expected count."""
+    length = hcs_set.length
+    saturated = hcs_set.config.saturated
+    kind = hcs_set.provenance.get("kind")
+    if kind == "c1":
+        if saturated:
+            return _exact_counts(counts, length), length
+        return CheckResult(
+            True,
+            "sub-saturated roster: exact-count check not applicable; "
+            "per-frame single use enforced by the collision checks",
+        ), None
+    if kind == "c2":
+        params = hcs_set.provenance.get("params", {})
+        d, n = int(params.get("d", 0)), int(params.get("n", 0))
+        # a run visits no slot more than l times, so a d**n that must exceed
+        # l is compared as l + 1 and never built
+        huge = abs(d) >= 2 and n >= 1 and (n > length.bit_length() or abs(d) > length)
+        visits = length + 1 if huge else d**n
+        text = f"{d}**{n}" if huge else str(visits)
+        bad = np.flatnonzero(per_run != visits)
+        if bad.size:
+            run, slot = divmod(int(bad[0]), hcs_set.t)
+            return CheckResult(
+                False,
+                f"{_label(labels, run)} visits slot {slot} "
+                f"{int(per_run[run, slot])} times, expected {text}",
+            ), None
+        occupancy = CheckResult(True, f"every run visits each slot exactly {text} times")
+        if not saturated:
+            return occupancy, None
+        whole = _exact_counts(counts, length)
+        return (occupancy if whole.passed else whole), length
+    warnings.append(
+        f"unknown construction kind {kind!r}: occupancy downgraded to within-set uniformity"
+    )
+    if not per_run.size:
+        return CheckResult(True, "empty roster"), None
+    if np.all(counts == counts[0]):
+        return CheckResult(True, f"all slots used {int(counts[0])} times"), None
+    return CheckResult(
+        False, f"slot usage not uniform: min {int(counts.min())}, max {int(counts.max())}"
+    ), None
 
 
 def _exact_counts(counts: np.ndarray, expected: int) -> CheckResult:

@@ -277,6 +277,40 @@ class TestVerify:
         err = json.loads(capsys.readouterr().err)
         assert "sequences[0]" in err["message"]
 
+    def test_slot_beyond_int64_exits_5(self, tmp_path, capsys):
+        path = self.make_set(tmp_path, capsys)
+        doc = json.loads(path.read_text())
+        doc["sequences"][2]["frames"][0][0] = 10**30
+        path.write_text(json.dumps(doc))
+        assert dispatch(["verify", str(path)]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "schema-error",
+            "message": "sequences[2].frames: slots must fit in int64",
+        }
+
+    @pytest.mark.parametrize("key, value", [("d", "x"), ("n", -2)])
+    def test_malformed_c2_params_exit_5(self, tmp_path, capsys, key, value):
+        path = self.make_set(tmp_path, capsys)
+        doc = json.loads(path.read_text())
+        doc["construction"]["params"][key] = value
+        path.write_text(json.dumps(doc))
+        assert dispatch(["verify", str(path)]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "schema-error"
+        assert f"construction.params.{key}" in err["message"]
+
+    def test_unattainable_c2_visits_exit_4(self, tmp_path, capsys):
+        # d**n with n = 10**6 is never built: no run of 128 frames can meet it
+        path = self.make_set(tmp_path, capsys)
+        doc = json.loads(path.read_text())
+        doc["construction"]["params"]["n"] = 10**6
+        path.write_text(json.dumps(doc))
+        assert dispatch(["verify", str(path), "--json"]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report["occupancy"]["detail"].endswith("expected 4**1000000")
+
 
 class TestSacTrace:
     def test_trace_and_audit(self, tmp_path, capsys):

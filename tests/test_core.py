@@ -218,6 +218,27 @@ class TestDocuments:
         loaded = from_document(doc)
         assert loaded.sequences[0].frames[0, 0] == 99
 
+    @pytest.mark.parametrize("slot", [2**63, -(2**63) - 1, 10**30])
+    def test_slots_beyond_int64_rejected(self, set128, slot):
+        doc = to_document(set128)
+        doc["sequences"][1]["frames"][5][2] = slot
+        with pytest.raises(SchemaError, match=r"sequences\[1\]\.frames: slots must fit in int64"):
+            from_document(doc)
+
+    @pytest.mark.parametrize(
+        "key, value", [("d", "x"), ("n", -1), ("d", True), ("n", 2.0), ("d", None)]
+    )
+    def test_c2_params_must_be_non_negative_ints(self, set128, key, value):
+        doc = to_document(set128)
+        doc["construction"]["params"][key] = value
+        with pytest.raises(SchemaError, match=f"construction.params.{key}"):
+            from_document(doc)
+
+    def test_c2_params_checked_only_for_c2(self, set24):
+        doc = to_document(set24)
+        doc["construction"]["params"]["d"] = "x"
+        assert from_document(doc).provenance["params"]["d"] == "x"
+
 
 class TestFrameInvariants:
     def test_frames_distinct_within_each_tuple(self, set24, set128):
