@@ -8,7 +8,10 @@ and duration).
 
 Exit codes: 0 success, 2 usage error, 3 invalid configuration or
 parameters, 4 verification gate failed, 5 file or schema error.  Failures
-print a single JSON object on stderr.
+print a single JSON object on stderr.  Every JSON input (set file, sac
+script, pipeline plan, driver file) is read by ``core.read_json``, so one
+that is not UTF-8 JSON exits 5; each plan stage names a subcommand other
+than pipeline.
 
 Usage examples:
     hcs gen1 --t 24 --levels 2:3,3:4,6:1 --seed 7 --out set1.json
@@ -37,6 +40,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, bound, construction1, construction2, sac, simulator, verification
 from .core import (
     ConfigError,
@@ -45,7 +50,9 @@ from .core import (
     SystemConfig,
     dumps_document,
     load_set,
-    to_document,
+    read_json,
+    save_set,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -120,33 +127,29 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(
-    subcommand: str,
-    params: dict,
-    seeds: list[int],
-    inputs: list[Path],
-    outputs: list[Path],
-    started: float,
+    args: argparse.Namespace, inputs: list[Path], outputs: list[Path], started: float
 ) -> None:
     """One manifest next to the first output, digesting all inputs/outputs."""
-    if not outputs:
-        return
+    params = _echo(args)
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "parameters": params,
-        "seeds": seeds,
+        "seeds": [params[key] for key in ("seed", "assign_seed") if params.get(key) is not None],
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
         "tool_version": __version__,
         "duration_s": round(time.monotonic() - started, 6),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    target = Path(str(outputs[0]) + ".manifest.json")
-    target.write_text(dumps_document(manifest), encoding="utf-8")
+    write_text(str(outputs[0]) + ".manifest.json", dumps_document(manifest))
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -169,8 +172,7 @@ def _echo(args: argparse.Namespace) -> dict:
 
 def _cmd_gen1(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    seed = args.seed if args.seed is not None else _draw_seed()
-    config = SystemConfig(t=args.t, levels=args.levels, seed=seed)
+    config = SystemConfig(t=args.t, levels=args.levels, seed=args.seed)
     drivers = None
     inputs = []
     if args.drivers:
@@ -178,8 +180,8 @@ def _cmd_gen1(args: argparse.Namespace) -> int:
         inputs.append(Path(args.drivers))
     hcs_set = construction1.construct1(config, drivers=drivers)
     out = Path(args.out)
-    _write_text(out, dumps_document(to_document(hcs_set)))
-    _write_manifest("gen1", _echo(args) | {"seed": seed}, [seed], inputs, [out], started)
+    save_set(hcs_set, out)
+    _write_manifest(args, inputs, [out], started)
     print(
         f"wrote {out}: length {hcs_set.length}, {hcs_set.config.num_users} sequences, "
         f"{hcs_set.t} slots"
@@ -188,18 +190,16 @@ def _cmd_gen1(args: argparse.Namespace) -> int:
 
 
 def _load_drivers(path: Path) -> construction1.DriverSequences:
-    import numpy as np
-
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc.msg}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or "selector" not in doc or "level_base" not in doc:
         raise SchemaError(f"{path}: driver file needs 'selector' and 'level_base' arrays")
-    return construction1.DriverSequences(
-        selector=np.asarray(doc["selector"], dtype=np.uint64),
-        level_base=tuple(np.asarray(b, dtype=np.int64) for b in doc["level_base"]),
-    )
+    try:
+        return construction1.DriverSequences(
+            selector=np.asarray(doc["selector"], dtype=np.uint64),
+            level_base=tuple(np.asarray(b, dtype=np.int64) for b in doc["level_base"]),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: driver streams must hold integers that fit: {exc}") from exc
 
 
 def _cmd_gen2(args: argparse.Namespace) -> int:
@@ -210,8 +210,8 @@ def _cmd_gen2(args: argparse.Namespace) -> int:
         config, n=args.rounds, g=args.g, d=args.d, mode=mode
     )
     out = Path(args.out)
-    _write_text(out, dumps_document(to_document(hcs_set)))
-    _write_manifest("gen2", _echo(args), [], [], [out], started)
+    save_set(hcs_set, out)
+    _write_manifest(args, [], [out], started)
     params = hcs_set.provenance["params"]
     print(
         f"wrote {out}: length {hcs_set.length}, g={params['g']} d={params['d']} "
@@ -227,8 +227,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     text = dumps_document(report.to_dict())
     if args.out:
         out = Path(args.out)
-        _write_text(out, text)
-        _write_manifest("bound", _echo(args), [], [], [out], started)
+        write_text(out, text)
+        _write_manifest(args, [], [out], started)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -236,18 +236,17 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     tuples = bound.enumerate_user_counts(args.t, args.r, cap=args.max_tuples)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"u_{i}" for i in range(len(args.r))] + ["load", "optimal"])
-    for entry in tuples:
-        writer.writerow(list(entry.counts) + [entry.load, int(entry.optimal)])
+    text = _csv_text(
+        [f"u_{i}" for i in range(len(args.r))] + ["load", "optimal"],
+        (list(entry.counts) + [entry.load, int(entry.optimal)] for entry in tuples),
+    )
     if args.out:
         out = Path(args.out)
-        _write_text(out, buf.getvalue())
-        _write_manifest("enumerate", _echo(args), [], [], [out], started)
+        write_text(out, text)
+        _write_manifest(args, [], [out], started)
         print(f"wrote {out}: {len(tuples)} rosters")
     else:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -267,8 +266,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(("PASS" if report.passed else "FAIL") + f"  {args.set}")
     if args.out:
         out = Path(args.out)
-        _write_text(out, dumps_document(doc))
-        _write_manifest("verify", _echo(args), [], [Path(args.set)], [out], started)
+        write_text(out, dumps_document(doc))
+        _write_manifest(args, [Path(args.set)], [out], started)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -276,12 +275,7 @@ def _cmd_sac_trace(args: argparse.Namespace) -> int:
     started = time.monotonic()
     hcs_set = load_set(args.set)
     script_path = Path(args.script)
-    try:
-        script = json.loads(script_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"{script_path}: invalid JSON at line {exc.lineno}: {exc.msg}"
-        ) from exc
+    script = read_json(script_path)
     if not isinstance(script, list):
         raise SchemaError(f"{script_path}: expected an array of events")
     state, audit, collisions = sac.run_script(
@@ -300,22 +294,10 @@ def _cmd_sac_trace(args: argparse.Namespace) -> int:
         "events": [e.to_dict() for e in state.events],
         "collision_count": len(collisions),
     }
-    _write_text(out, dumps_document(trace))
+    write_text(out, dumps_document(trace))
     audit_path = Path(args.audit) if args.audit else Path(str(out) + ".audit.csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["frame", "slot", "user", "level", "sequence"])
-    for row in audit:
-        writer.writerow(row)
-    _write_text(audit_path, buf.getvalue())
-    _write_manifest(
-        "sac-trace",
-        _echo(args),
-        [args.assign_seed] if args.assign_seed is not None else [],
-        [Path(args.set), script_path],
-        [out, audit_path],
-        started,
-    )
+    write_text(audit_path, _csv_text(["frame", "slot", "user", "level", "sequence"], audit))
+    _write_manifest(args, [Path(args.set), script_path], [out, audit_path], started)
     print(
         f"wrote {out} and {audit_path}: {len(state.events)} events, "
         f"{len(collisions)} collisions"
@@ -323,87 +305,64 @@ def _cmd_sac_trace(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_scheme(args: argparse.Namespace) -> tuple[simulator.Scheme, int, list[Path]]:
-    inputs: list[Path] = []
+def _sim_configs(args: argparse.Namespace) -> list[simulator.SimConfig]:
+    """One SimConfig per scheme the options name: --set's user, then --fixed."""
+    schemes, t = [], args.t
     if args.set:
         hcs_set = load_set(args.set)
-        inputs.append(Path(args.set))
-        scheme = simulator.HcsScheme(hcs_set, level=args.level, user=args.user)
-        t = args.t if args.t is not None else hcs_set.t
-    else:
-        if args.t is None:
-            raise ConfigError("--t is required with --fixed")
-        scheme = simulator.FixedScheme(args.fixed)
-        t = args.t
-    return scheme, t, inputs
-
-
-def _curve_rows(curve: simulator.SerCurve) -> list[list]:
+        schemes.append(simulator.HcsScheme(hcs_set, level=args.level, user=args.user))
+        t = hcs_set.t if t is None else t
+    if t is None:
+        raise ConfigError("--t is required with --fixed")
+    if args.fixed is not None:
+        schemes.append(simulator.FixedScheme(args.fixed))
     return [
-        [p.snr_db, repr(p.ser), p.symbols_total, p.symbols_error, curve.scheme, curve.scenario]
-        for p in curve.points
+        simulator.SimConfig(
+            t=t,
+            scheme=scheme,
+            snr_db=args.snr,
+            interference_slots=args.interference,
+            interference_power_db=args.ipower_db,
+            symbols_per_slot=args.symbols_per_slot,
+            frames=args.frames,
+            seed=args.seed,
+        )
+        for scheme in schemes
     ]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    seed = args.seed if args.seed is not None else _draw_seed()
-    scheme, t, inputs = _build_scheme(args)
-    config = simulator.SimConfig(
-        t=t,
-        scheme=scheme,
-        snr_db=args.snr,
-        interference_slots=args.interference,
-        interference_power_db=args.ipower_db,
-        symbols_per_slot=args.symbols_per_slot,
-        frames=args.frames,
-        seed=seed,
-    )
+    (config,) = _sim_configs(args)
     curve = simulator.simulate_ser(config)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["snr_db", "ser", "symbols_total", "symbols_error", "scheme", "scenario"])
-    for row in _curve_rows(curve):
-        writer.writerow(row)
+    text = _csv_text(
+        ["snr_db", "ser", "symbols_total", "symbols_error", "scheme", "scenario"],
+        (
+            [p.snr_db, repr(p.ser), p.symbols_total, p.symbols_error, curve.scheme, curve.scenario]
+            for p in curve.points
+        ),
+    )
     out = Path(args.out)
-    _write_text(out, buf.getvalue())
-    _write_manifest("simulate", _echo(args) | {"seed": seed}, [seed], inputs, [out], started)
+    write_text(out, text)
+    _write_manifest(args, [Path(args.set)] if args.set else [], [out], started)
     print(f"wrote {out}: {len(curve.points)} SNR points, scheme {curve.scheme}")
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    seed = args.seed if args.seed is not None else _draw_seed()
-    hcs_set = load_set(args.set)
-    hcs_scheme = simulator.HcsScheme(hcs_set, level=args.level, user=args.user)
-    fixed_scheme = simulator.FixedScheme(args.fixed)
-    t = args.t if args.t is not None else hcs_set.t
-    common = dict(
-        t=t,
-        snr_db=args.snr,
-        interference_slots=args.interference,
-        interference_power_db=args.ipower_db,
-        symbols_per_slot=args.symbols_per_slot,
-        frames=args.frames,
-        seed=seed,
-    )
-    report = simulator.compare_schemes(
-        simulator.SimConfig(scheme=fixed_scheme, **common),
-        simulator.SimConfig(scheme=hcs_scheme, **common),
-    )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["snr_db", "ser_fixed", "ser_hcs", "delta", "sigma", "hcs_worse"])
-    for row in report.rows:
-        writer.writerow(
+    hcs_config, fixed_config = _sim_configs(args)
+    report = simulator.compare_schemes(fixed_config, hcs_config)
+    text = _csv_text(
+        ["snr_db", "ser_fixed", "ser_hcs", "delta", "sigma", "hcs_worse"],
+        (
             [row.snr_db, repr(row.ser_a), repr(row.ser_b), repr(row.delta), repr(row.sigma), int(row.b_exceeds_a)]
-        )
-    out = Path(args.out)
-    _write_text(out, buf.getvalue())
-    _write_manifest(
-        "compare", _echo(args) | {"seed": seed}, [seed], [Path(args.set)], [out], started
+            for row in report.rows
+        ),
     )
+    out = Path(args.out)
+    write_text(out, text)
+    _write_manifest(args, [Path(args.set)], [out], started)
     flagged = len(report.flagged)
     print(
         f"wrote {out}: max fixed-minus-hcs delta {report.max_delta:.6f}, "
@@ -414,15 +373,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = read_json(path)
     stages = doc.get("stages") if isinstance(doc, dict) else doc
     if not isinstance(stages, list) or any(
-        not isinstance(s, list) or any(not isinstance(a, str) for a in s) for s in stages
+        not isinstance(s, list) or not s or any(not isinstance(a, str) for a in s) for s in stages
     ):
         raise SchemaError(f"{path}: expected {{'stages': [[arg, ...], ...]}}")
+    if any(stage[:1] == ["pipeline"] for stage in stages):
+        raise SchemaError(f"{path}: a plan cannot run a pipeline stage")
     for number, stage in enumerate(stages):
         print(f"[stage {number}] " + " ".join(stage))
         code = dispatch(stage)
@@ -434,6 +392,20 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _add_sim_arguments(p: argparse.ArgumentParser) -> None:
+    """The options simulate and compare share, after their --set and --fixed."""
+    p.add_argument("--level", type=int, default=None, help="level of the simulated user")
+    p.add_argument("--user", type=int, default=0)
+    p.add_argument("--t", type=int, default=None, help="slots per frame (default: the set's t)")
+    p.add_argument("--interference", type=_parse_int_list, default=())
+    p.add_argument("--ipower-db", type=float, default=10.0)
+    p.add_argument("--snr", type=_parse_snr, default=_parse_snr("0:14:1"))
+    p.add_argument("--frames", type=int, default=100_000)
+    p.add_argument("--symbols-per-slot", type=int, default=64)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,31 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--set", default=None, help="sequence-set file (hopping scheme)")
     group.add_argument("--fixed", type=_parse_int_list, default=None, help="fixed slots, e.g. 0,2,4,5")
-    p.add_argument("--level", type=int, default=None, help="level of the simulated user")
-    p.add_argument("--user", type=int, default=0)
-    p.add_argument("--t", type=int, default=None, help="slots per frame (required with --fixed)")
-    p.add_argument("--interference", type=_parse_int_list, default=())
-    p.add_argument("--ipower-db", type=float, default=10.0)
-    p.add_argument("--snr", type=_parse_snr, default=_parse_snr("0:14:1"))
-    p.add_argument("--frames", type=int, default=100_000)
-    p.add_argument("--symbols-per-slot", type=int, default=64)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
+    _add_sim_arguments(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="fixed-slot baseline vs hopping scheme")
     p.add_argument("--set", required=True)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--user", type=int, default=0)
     p.add_argument("--fixed", type=_parse_int_list, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--interference", type=_parse_int_list, default=())
-    p.add_argument("--ipower-db", type=float, default=10.0)
-    p.add_argument("--snr", type=_parse_snr, default=_parse_snr("0:14:1"))
-    p.add_argument("--frames", type=int, default=100_000)
-    p.add_argument("--symbols-per-slot", type=int, default=64)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
+    _add_sim_arguments(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("pipeline", help="run an ordered list of subcommand invocations")
@@ -547,6 +501,9 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         # argparse has already printed usage/help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    if getattr(args, "seed", 0) is None:
+        # an unset --seed of gen1, simulate or compare; the manifest records it
+        args.seed = _draw_seed()
     try:
         return args.func(args)
     except SchemaError as exc:

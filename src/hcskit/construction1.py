@@ -175,16 +175,10 @@ def construct1(config: SystemConfig, drivers: DriverSequences | None = None) -> 
     else:
         _check_drivers(drivers, params, length)
 
-    # one decoded permutation row per frame; ranks repeat, so cache decodes
-    perm_rows = np.empty((length, params.m), dtype=np.int64)
-    cache: dict[int, np.ndarray] = {}
-    for alpha, raw in enumerate(drivers.selector):
-        gamma = int(raw)
-        row = cache.get(gamma)
-        if row is None:
-            row = np.array(unrank_permutation(gamma, params.m), dtype=np.int64)
-            cache[gamma] = row
-        perm_rows[alpha] = row
+    # one decoded permutation row per frame; ranks repeat, so each is decoded once
+    ranks, which = np.unique(drivers.selector, return_inverse=True)
+    table = np.array([unrank_permutation(int(g), params.m) for g in ranks], dtype=np.int64)
+    perm_rows = table[which]
 
     frame_idx = np.arange(length)
     sequences = []

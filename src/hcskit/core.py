@@ -361,19 +361,40 @@ def from_document(doc) -> HcsSet:
         raise SchemaError(str(exc)) from exc
 
 
+def write_text(path, text: str) -> None:
+    """Write UTF-8 text to path, creating missing parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def save_set(hcs_set: HcsSet, path) -> None:
-    Path(path).write_text(dumps_document(to_document(hcs_set)), encoding="utf-8")
+    write_text(path, dumps_document(to_document(hcs_set)))
 
 
-def load_set(path) -> HcsSet:
-    text = Path(path).read_text(encoding="utf-8")
+def read_json(path):
+    """The document in a JSON file; SchemaError, naming the path, if it is not one.
+
+    Every JSON input of the toolkit (set files, sac scripts, pipeline plans,
+    driver files) is read here, so they all refuse the same things: malformed
+    JSON, bytes that are not UTF-8, integers beyond Python's digit limit and
+    nesting too deep to parse.
+    """
     try:
-        doc = json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return from_document(doc)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError here is Python's int digit limit
+        raise SchemaError(f"{path}: JSON beyond the parser's limits: {exc}") from exc
+
+
+def load_set(path) -> HcsSet:
+    return from_document(read_json(path))
 
 
 def dumps_document(obj) -> str:

@@ -154,36 +154,13 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
     k = len(labels)
     warnings: list[str] = []
 
-    # frame tuples: distinct in-range slots
-    frame_distinctness = CheckResult(True, "every frame holds distinct in-range slots")
-    for s in seqs:
-        bad = np.nonzero((s.frames < 0) | (s.frames >= t))
-        if bad[0].size:
-            f = int(bad[0][0])
-            frame_distinctness = CheckResult(
-                False,
-                f"level {s.level} user {s.user} frame {f} holds out-of-range slot "
-                f"{int(s.frames[f, bad[1][0]])}",
-            )
-            break
-        if s.slots_per_frame > 1:
-            ordered = np.sort(s.frames, axis=1)
-            dup = np.nonzero((np.diff(ordered, axis=1) == 0).any(axis=1))[0]
-            if dup.size:
-                f = int(dup[0])
-                frame_distinctness = CheckResult(
-                    False,
-                    f"level {s.level} user {s.user} frame {f} repeats a slot: "
-                    f"{tuple(int(x) for x in s.frames[f])}",
-                )
-                break
-
     zero_correlation = occupancy = slot_coverage = CheckResult(
         False, "set contains out-of-range slot values"
     )
     expected: int | None = None
     uniformity = 0.0
     if not all(s.frames.min() >= 0 and s.frames.max() < t for s in seqs):
+        frame_distinctness = _frame_distinctness(seqs, t, np.arange(length))
         values = np.concatenate([s.frames.ravel() for s in seqs])
         counts = np.bincount(values[(values >= 0) & (values < t)], minlength=t)
         warnings.append("histogram ignores out-of-range slot values")
@@ -197,6 +174,9 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
         # Hamming correlation at shift 0.  Witness: the lowest doubled slot
         # of the first such frame and the first two runs that hold it.
         doubled = np.flatnonzero(claims.max(axis=1) > 1)
+        # a slot repeated inside one frame of one sequence is a doubled
+        # claim, so only the frames with one can fail frame_distinctness
+        frame_distinctness = _frame_distinctness(seqs, t, doubled)
         if doubled.size:
             f = int(doubled[0])
             value = int(np.argmax(claims[f] > 1))
@@ -251,6 +231,29 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
         uniformity_deviation=uniformity,
         warnings=tuple(warnings),
     )
+
+
+def _frame_distinctness(seqs, t: int, rows: np.ndarray) -> CheckResult:
+    """The first sequence with an out-of-range or a repeated slot in the frames ``rows``."""
+    for s in seqs:
+        frames = s.frames[rows]
+        bad = np.nonzero((frames < 0) | (frames >= t))
+        if bad[0].size:
+            return CheckResult(
+                False,
+                f"level {s.level} user {s.user} frame {int(rows[bad[0][0]])} holds out-of-range "
+                f"slot {int(frames[bad[0][0], bad[1][0]])}",
+            )
+        ordered = np.sort(frames, axis=1)
+        dup = rows[(np.diff(ordered, axis=1) == 0).any(axis=1)]
+        if dup.size:
+            f = int(dup[0])
+            return CheckResult(
+                False,
+                f"level {s.level} user {s.user} frame {f} repeats a slot: "
+                f"{tuple(int(x) for x in s.frames[f])}",
+            )
+    return CheckResult(True, "every frame holds distinct in-range slots")
 
 
 def _occupancy(hcs_set, per_run, counts, labels, warnings) -> tuple[CheckResult, int | None]:

@@ -35,6 +35,16 @@ def read_manifest(out):
     return json.loads((out.parent / (out.name + ".manifest.json")).read_text())
 
 
+def assert_schema_error(capsys, argv):
+    """Exit 5 with exactly one JSON line, a schema-error, on stderr."""
+    assert dispatch(argv) == 5
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "schema-error"
+    return err
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert dispatch([]) == 2
@@ -140,6 +150,19 @@ class TestGen1:
         assert built.provenance["params"]["drivers"] == "injected"
         assert built.sequence(0, 0).frame(0) == (0, 15)
         assert str(drivers) in read_manifest(out)["inputs"]
+
+    @pytest.mark.parametrize("value", [-1, 10**30, "x"], ids=["negative", "beyond-uint64", "string"])
+    def test_selector_not_uint64_exits_5(self, tmp_path, capsys, value):
+        drivers = tmp_path / "drivers.json"
+        drivers.write_text(
+            json.dumps({"selector": [value] + [0] * 143, "level_base": [[0] * 144] * 3})
+        )
+        out = tmp_path / "set.json"
+        argv = ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "0",
+                "--drivers", str(drivers), "--out", str(out)]
+        err = assert_schema_error(capsys, argv)
+        assert err["message"].startswith(f"{drivers}: driver streams")
+        assert not out.exists()
 
     def test_invalid_config_exits_3(self, tmp_path, capsys):
         code = dispatch(
@@ -576,6 +599,20 @@ class TestPipeline:
         assert dispatch(["pipeline", str(plan)]) == 5
         capsys.readouterr()
 
+    def test_nested_pipeline_refused(self, tmp_path, capsys):
+        # a plan that runs itself once recursed until Python's stack ran out
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps({"stages": [["bound", "--t", "8", "--levels", LEVELS8], ["pipeline", str(plan)]]})
+        )
+        err = assert_schema_error(capsys, ["pipeline", str(plan)])
+        assert err["message"] == f"{plan}: a plan cannot run a pipeline stage"
+
+    def test_stage_without_subcommand_refused(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"stages": [["bound", "--t", "8", "--levels", LEVELS8], []]}))
+        assert_schema_error(capsys, ["pipeline", str(plan)])
+
     def test_rerun_byte_identical_outputs(self, tmp_path, capsys):
         digests = []
         for run in ("r1", "r2"):
@@ -619,3 +656,36 @@ class TestPipeline:
             )
         capsys.readouterr()
         assert digests[0] == digests[1]
+
+
+class TestUnreadableJson:
+    """Every JSON input fails the same way when it cannot be parsed."""
+
+    PAYLOADS = {
+        "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
+        "int-beyond-digit-limit": b'{"stages": [' + b"1" * 5000 + b"]}",
+        "not-utf8": b'{"stages": [["bound", "\xff"]]}',
+    }
+
+    @staticmethod
+    def argv(kind, path, tmp_path):
+        if kind == "set":
+            return ["verify", str(path)]
+        if kind == "plan":
+            return ["pipeline", str(path)]
+        out = str(tmp_path / "out.json")
+        if kind == "drivers":
+            return ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "0",
+                    "--drivers", str(path), "--out", out]
+        set_path = tmp_path / "set2.json"
+        dispatch(gen2_args(set_path))
+        return ["sac-trace", "--set", str(set_path), "--script", str(path), "--out", out]
+
+    @pytest.mark.parametrize("payload", sorted(PAYLOADS))
+    @pytest.mark.parametrize("kind", ["set", "script", "plan", "drivers"])
+    def test_exits_5_naming_the_file(self, tmp_path, capsys, kind, payload):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(self.PAYLOADS[payload])
+        err = assert_schema_error(capsys, self.argv(kind, path, tmp_path))
+        assert err["message"].startswith(f"{path}: ")
+        assert not (tmp_path / "out.json").exists()
