@@ -14,26 +14,9 @@ from .bound import (
     UserCountTuple,
     check_bound,
     enumerate_user_counts,
-    max_users_single_level,
 )
-from .construction1 import (
-    Cons1Params,
-    DriverSequences,
-    cons1_params,
-    construct1,
-    derive_drivers,
-    unrank_permutation,
-)
-from .construction2 import (
-    Cons2Params,
-    MixedRadixIndex,
-    cons2_params,
-    construct2,
-    evaluate_c,
-    find_generator,
-    initial_set,
-    multiplicative_order,
-)
+from .construction1 import DriverSequences, construct1
+from .construction2 import construct2
 from .core import (
     ConfigError,
     HcsError,
@@ -43,12 +26,10 @@ from .core import (
     SchemaError,
     SystemConfig,
     dumps_document,
-    flatten,
     from_document,
     hamming_correlation,
     load_set,
     save_set,
-    subsequences,
     to_document,
 )
 from .sac import SacEvent, SacState, run_script
@@ -62,10 +43,9 @@ from .simulator import (
     SimConfig,
     compare_schemes,
     interference_hit_fraction,
-    scenario_label,
     simulate_ser,
 )
-from .verification import VerificationReport, occupancy_histogram, verify
+from .verification import VerificationReport, verify
 
 __all__ = [
     "__version__",
@@ -73,8 +53,6 @@ __all__ = [
     "ComparisonReport",
     "ComparisonRow",
     "ConfigError",
-    "Cons1Params",
-    "Cons2Params",
     "DriverSequences",
     "EnumerationCapError",
     "FixedScheme",
@@ -83,7 +61,6 @@ __all__ = [
     "HcsSequence",
     "HcsSet",
     "LevelSpec",
-    "MixedRadixIndex",
     "SacEvent",
     "SacState",
     "SchemaError",
@@ -95,30 +72,17 @@ __all__ = [
     "VerificationReport",
     "check_bound",
     "compare_schemes",
-    "cons1_params",
-    "cons2_params",
     "construct1",
     "construct2",
-    "derive_drivers",
     "dumps_document",
     "enumerate_user_counts",
-    "evaluate_c",
-    "find_generator",
-    "flatten",
     "from_document",
     "hamming_correlation",
-    "initial_set",
     "interference_hit_fraction",
     "load_set",
-    "max_users_single_level",
-    "multiplicative_order",
-    "occupancy_histogram",
     "run_script",
     "save_set",
-    "scenario_label",
     "simulate_ser",
-    "subsequences",
     "to_document",
-    "unrank_permutation",
     "verify",
 ]

@@ -53,15 +53,6 @@ def check_bound(config: SystemConfig) -> BoundReport:
     return BoundReport(load=load, capacity=config.t, slack=slack, optimal=slack == 0)
 
 
-def max_users_single_level(t: int, r: int) -> int:
-    """Largest user count a single level of demand r can host in t slots."""
-    if r < 1:
-        raise ValueError(f"slots-per-frame must be positive, got {r}")
-    if t < 1:
-        raise ValueError(f"frame size must be positive, got {t}")
-    return t // r
-
-
 def enumerate_user_counts(
     t: int,
     level_values: Sequence[int],

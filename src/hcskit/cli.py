@@ -7,11 +7,11 @@ byte-identical on the primary outputs (manifests differ only in timestamp
 and duration).
 
 Exit codes: 0 success, 2 usage error, 3 invalid configuration or
-parameters, 4 verification gate failed, 5 file or schema error.  Failures
-print a single JSON object on stderr.  Every JSON input (set file, sac
-script, pipeline plan, driver file) is read by ``core.read_json``, so one
-that is not UTF-8 JSON exits 5; each plan stage names a subcommand other
-than pipeline.
+parameters, 4 verification gate failed, 5 file or schema error.  Every
+failure, a usage error or a failed pipeline stage included, prints a single
+JSON object on stderr.  Every JSON input (set file, sac script, pipeline
+plan, driver file) is read by ``core.read_json``, so one that is not UTF-8
+JSON exits 5; each plan stage names a subcommand other than pipeline.
 
 Usage examples:
     hcs gen1 --t 24 --levels 2:3,3:4,6:1 --seed 7 --out set1.json
@@ -60,6 +60,21 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_VERIFY = 4
 EXIT_IO = 5
+
+
+class _Failure(Exception):
+    """A failed invocation: its exit code, error kind and message."""
+
+    def __init__(self, code: int, kind: str, message) -> None:
+        super().__init__(str(message))
+        self.code, self.kind = code, kind
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are failures, not usage text."""
+
+    def error(self, message: str):
+        raise _Failure(EXIT_USAGE, "usage", f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +210,18 @@ def _load_drivers(path: Path) -> construction1.DriverSequences:
         raise SchemaError(f"{path}: driver file needs 'selector' and 'level_base' arrays")
     try:
         return construction1.DriverSequences(
-            selector=np.asarray(doc["selector"], dtype=np.uint64),
-            level_base=tuple(np.asarray(b, dtype=np.int64) for b in doc["level_base"]),
+            selector=_int_stream(doc["selector"], np.uint64),
+            level_base=tuple(_int_stream(b, np.int64) for b in doc["level_base"]),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: driver streams must hold integers that fit: {exc}") from exc
+
+
+def _int_stream(values, dtype) -> np.ndarray:
+    # numpy would truncate a float entry and read a bool as 0 or 1
+    if isinstance(values, list) and any(isinstance(v, (bool, float)) for v in values):
+        raise TypeError("found a float or boolean entry")
+    return np.asarray(values, dtype=dtype)
 
 
 def _cmd_gen2(args: argparse.Namespace) -> int:
@@ -268,7 +290,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         out = Path(args.out)
         write_text(out, dumps_document(doc))
         _write_manifest(args, [Path(args.set)], [out], started)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    if not report.passed:
+        failed = ", ".join(name for name, check in report.gates() if not check.passed)
+        raise _Failure(
+            EXIT_VERIFY, "verification-failed", f"{args.set} failed verification: {failed}"
+        )
+    return EXIT_OK
 
 
 def _cmd_sac_trace(args: argparse.Namespace) -> int:
@@ -383,10 +410,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         raise SchemaError(f"{path}: a plan cannot run a pipeline stage")
     for number, stage in enumerate(stages):
         print(f"[stage {number}] " + " ".join(stage))
-        code = dispatch(stage)
-        if code != EXIT_OK:
-            print(f"[stage {number}] failed with exit code {code}", file=sys.stderr)
-            return code
+        try:
+            _run(stage)
+        except _Failure as failure:
+            raise _Failure(
+                failure.code,
+                failure.kind,
+                f"[stage {number}] failed with exit code {failure.code}: {failure}",
+            ) from failure
     return EXIT_OK
 
 
@@ -409,7 +440,7 @@ def _add_sim_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hcs",
         description="Generate, check, trace, and simulate multi-level slot access sequences.",
     )
@@ -488,38 +519,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(code: int, kind: str, exc: BaseException) -> int:
-    sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
-    return code
-
-
-def dispatch(argv: list[str]) -> int:
-    """Parse and run one invocation; returns the process exit code."""
-    parser = build_parser()
+def _run(argv: list[str]) -> int:
+    """Parse and run one invocation; raises _Failure when it fails."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse has already printed usage/help
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        # --help or --version: argparse has printed it
+        return EXIT_OK
     if getattr(args, "seed", 0) is None:
         # an unset --seed of gen1, simulate or compare; the manifest records it
         args.seed = _draw_seed()
     try:
         return args.func(args)
     except SchemaError as exc:
-        return _fail(EXIT_IO, "schema-error", exc)
+        raise _Failure(EXIT_IO, "schema-error", exc) from exc
     except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config-error", exc)
+        raise _Failure(EXIT_CONFIG, "config-error", exc) from exc
     except bound.EnumerationCapError as exc:
-        return _fail(EXIT_CONFIG, "enumeration-cap", exc)
+        raise _Failure(EXIT_CONFIG, "enumeration-cap", exc) from exc
     except HcsError as exc:
-        return _fail(EXIT_CONFIG, "error", exc)
+        raise _Failure(EXIT_CONFIG, "error", exc) from exc
     except ValueError as exc:
-        return _fail(EXIT_CONFIG, "value-error", exc)
+        raise _Failure(EXIT_CONFIG, "value-error", exc) from exc
     except FileNotFoundError as exc:
-        return _fail(EXIT_IO, "file-not-found", exc)
+        raise _Failure(EXIT_IO, "file-not-found", exc) from exc
     except OSError as exc:
-        return _fail(EXIT_IO, "io-error", exc)
+        raise _Failure(EXIT_IO, "io-error", exc) from exc
+
+
+def dispatch(argv: list[str]) -> int:
+    """Run one invocation; returns the process exit code.
+
+    A failure prints one JSON line, {"error": kind, "message": text}, on stderr.
+    """
+    try:
+        return _run(argv)
+    except _Failure as failure:
+        sys.stderr.write(json.dumps({"error": failure.kind, "message": str(failure)}) + "\n")
+        return failure.code
 
 
 def main() -> None:

@@ -58,43 +58,6 @@ def find_generator(t: int) -> tuple[int, int]:
     return best_g, best_d
 
 
-def initial_set(t: int) -> np.ndarray:
-    """The t cyclic shift rows as a (t, t) matrix: row k is (k + b0) mod t."""
-    if t < 1:
-        raise ValueError(f"frame size must be positive, got {t}")
-    base = np.arange(t, dtype=np.int64)
-    return (base[:, None] + base[None, :]) % t
-
-
-@dataclass(frozen=True)
-class MixedRadixIndex:
-    """Composite frame index: digits a = (a_n, ..., a_1) base d, then b0 base t."""
-
-    a: tuple[int, ...]
-    b0: int
-
-    @classmethod
-    def from_value(cls, value: int, d: int, n: int, t: int) -> "MixedRadixIndex":
-        if d < 1 or n < 1 or t < 1:
-            raise ValueError("d, n, t must all be positive")
-        total = d**n * t
-        if not 0 <= value < total:
-            raise ValueError(f"index must lie in [0, {total}), got {value}")
-        b0 = value % t
-        q = value // t
-        digits = []
-        for _ in range(n):
-            digits.append(q % d)
-            q //= d
-        return cls(a=tuple(reversed(digits)), b0=b0)
-
-    def to_value(self, d: int, t: int) -> int:
-        q = 0
-        for digit in self.a:
-            q = q * d + digit
-        return q * t + self.b0
-
-
 @dataclass(frozen=True)
 class Cons2Params:
     """Unit g, exponent modulus d, round count n, per-level row offsets."""
@@ -103,16 +66,6 @@ class Cons2Params:
     d: int
     n: int
     omega2: tuple[int, ...]
-
-
-def evaluate_c(k: int, index: MixedRadixIndex, params: Cons2Params, t: int) -> int:
-    """Row k's slot at the given composite index."""
-    if not 0 <= k < t:
-        raise ValueError(f"row must lie in [0, {t}), got {k}")
-    if len(index.a) != params.n:
-        raise ValueError(f"index has {len(index.a)} digits, construction uses {params.n}")
-    e = sum(index.a) % params.d
-    return pow(params.g, e, t) * (k + index.a[-1] + index.b0) % t
 
 
 def cons2_params(

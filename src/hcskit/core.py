@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -197,22 +197,6 @@ def hamming_correlation(x: Sequence[int], y: Sequence[int], tau: int = 0) -> int
     return int(np.count_nonzero(xv == np.roll(yv, -tau)))
 
 
-def flatten(seq: HcsSequence) -> list[np.ndarray]:
-    """Split a sequence into its r per-offset slot runs.
-
-    Run k collects the k-th slot of every frame, so each run has length l and
-    the runs regroup into the original frames column-wise.
-    """
-    return [seq.frames[:, k] for k in range(seq.slots_per_frame)]
-
-
-def subsequences(hcs_set: HcsSet) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """Yield (level, user, offset, run) for every flattened slot run in the set."""
-    for s in hcs_set.sequences:
-        for theta, run in enumerate(flatten(s)):
-            yield s.level, s.user, theta, run
-
-
 # ---------------------------------------------------------------------------
 # interchange documents
 
@@ -347,9 +331,6 @@ def from_document(doc) -> HcsSet:
         except OverflowError:
             raise SchemaError(f"{where}.frames: slots must fit in int64") from None
         sequences.append(HcsSequence(level=level, user=user, frames=table))
-    pairs = [(s.level, s.user) for s in sequences]
-    if len(pairs) != len(set(pairs)):
-        raise SchemaError("sequences: duplicate (level, user) entry")
     try:
         return HcsSet(
             config=config,

@@ -20,7 +20,8 @@ from .core import ConfigError, HcsSet
 
 ALIGNMENTS = ("global", "per-user")
 
-EVENT_KINDS = ("join-request", "assigned", "queued", "released", "granted-from-queue")
+# largest audit run_script builds: (last frame + 1) * roster load rows
+MAX_AUDIT_ROWS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -253,20 +254,28 @@ def run_script(
     Returns the final state, audit rows (frame, slot, user, level, sequence)
     for every synchronized user in frames 0..max scripted frame, and the
     (frame, slot) pairs claimed more than once.  A malformed entry raises
-    ValueError with its script position before any entry is applied.
+    ValueError with its script position before any entry is applied, and a
+    script whose audit could exceed MAX_AUDIT_ROWS rows raises ValueError
+    before the allocator is built.
     """
     entries = []
     for pos, entry in enumerate(script):
         _check_entry(entry, pos)
         entries.append((int(entry["frame"]), pos, entry))
     entries.sort(key=lambda e: (e[0], e[1]))
+    last_frame = entries[-1][0] if entries else -1
+    # an empty roster audits no rows but still walks every frame
+    if (last_frame + 1) * max(hcs_set.config.load, 1) > MAX_AUDIT_ROWS:
+        raise ValueError(
+            f"script reaches frame {last_frame}: an audit of {last_frame + 1} frames "
+            f"at load {hcs_set.config.load} exceeds {MAX_AUDIT_ROWS} rows"
+        )
     state = init(
         hcs_set, alignment=alignment, sync_delay=sync_delay, assign_seed=assign_seed
     )
 
     audit: list[tuple[int, int, str, int, int]] = []
     collisions: list[tuple[int, int]] = []
-    last_frame = entries[-1][0] if entries else -1
     cursor = 0
     for frame in range(last_frame + 1):
         while cursor < len(entries) and entries[cursor][0] == frame:

@@ -90,21 +90,6 @@ class VerificationReport:
         }
 
 
-def occupancy_histogram(hcs_set: HcsSet) -> np.ndarray:
-    """Per-slot usage counts over all sequences, frames, and offsets.
-
-    Array indexed by slot number; an empty roster yields all zeros.  The
-    set must be well-formed (all slots in range) or ValueError is raised.
-    """
-    t = hcs_set.t
-    if not hcs_set.sequences:
-        return np.zeros(t, dtype=np.int64)
-    values = np.concatenate([s.frames.ravel() for s in hcs_set.sequences])
-    if values.size and (values.min() < 0 or values.max() >= t):
-        raise ValueError("set contains out-of-range slot values")
-    return np.bincount(values, minlength=t).astype(np.int64)
-
-
 def _label(labels, index) -> str:
     level, user, theta = labels[index]
     return f"level {level} user {user} run {theta}"

@@ -42,6 +42,17 @@ def set_c1_t8():
     return construct1(SystemConfig(t=8, levels=((4, 2),), seed=1105))
 
 
+def subsequences(hcs_set):
+    """Yield (level, user, offset, run) for every flattened slot run in the set.
+
+    Run k of a sequence collects the k-th slot of every frame, so each run has
+    length l and the runs regroup into the original frames column-wise.
+    """
+    for s in hcs_set.sequences:
+        for theta in range(s.slots_per_frame):
+            yield s.level, s.user, theta, s.frames[:, theta]
+
+
 def remake_set(hcs_set, mutate):
     """Copy a set with ``mutate(seq_index, frames_array)`` applied to each copy."""
     from hcskit import HcsSequence, HcsSet

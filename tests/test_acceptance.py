@@ -20,13 +20,13 @@ from hcskit import (
     compare_schemes,
     construct1,
     construct2,
-    find_generator,
     interference_hit_fraction,
     sac,
-    unrank_permutation,
     verify,
 )
 from hcskit.cli import dispatch
+from hcskit.construction1 import unrank_permutation
+from hcskit.construction2 import find_generator
 
 from conftest import random_script, remake_set, shadow_events
 

@@ -6,7 +6,6 @@ from hcskit import (
     SystemConfig,
     check_bound,
     enumerate_user_counts,
-    max_users_single_level,
 )
 
 
@@ -46,20 +45,6 @@ class TestCheckBound:
     def test_dict_view(self):
         d = check_bound(SystemConfig(t=6, levels=((2, 2),))).to_dict()
         assert d == {"load": 4, "capacity": 6, "slack": 2, "feasible": True, "optimal": False}
-
-
-class TestMaxUsersSingleLevel:
-    def test_values(self):
-        assert max_users_single_level(24, 6) == 4
-        assert max_users_single_level(24, 5) == 4
-        assert max_users_single_level(3, 4) == 0
-        assert max_users_single_level(8, 1) == 8
-
-    def test_invalid_demand(self):
-        with pytest.raises(ValueError):
-            max_users_single_level(8, 0)
-        with pytest.raises(ValueError):
-            max_users_single_level(0, 2)
 
 
 class TestEnumerate:

@@ -45,26 +45,44 @@ def assert_schema_error(capsys, argv):
     return err
 
 
+def assert_usage_error(capsys, argv):
+    """Exit 2 with exactly one JSON line, a usage error, on stderr and no usage text."""
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "usage"
+    return err
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
-        assert dispatch([]) == 2
-        capsys.readouterr()
+        err = assert_usage_error(capsys, [])
+        assert err["message"] == "hcs: the following arguments are required: subcommand"
 
     def test_unknown_subcommand(self, capsys):
-        assert dispatch(["frobnicate"]) == 2
-        capsys.readouterr()
+        err = assert_usage_error(capsys, ["frobnicate"])
+        assert "invalid choice: 'frobnicate'" in err["message"]
 
     def test_missing_required_flag(self, capsys):
-        assert dispatch(["gen1", "--t", "24"]) == 2
-        capsys.readouterr()
+        err = assert_usage_error(capsys, ["gen1", "--t", "24"])
+        assert err["message"] == "hcs gen1: the following arguments are required: --levels, --out"
 
     def test_malformed_levels(self, capsys):
-        assert dispatch(["bound", "--t", "8", "--levels", "2:3:4"]) == 2
-        capsys.readouterr()
+        err = assert_usage_error(capsys, ["bound", "--t", "8", "--levels", "2:3:4"])
+        assert err["message"].startswith("hcs bound: argument --levels: level spec '2:3:4'")
 
     def test_version_exits_clean(self, capsys):
         assert dispatch(["--version"]) == 0
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == "0.1.0\n" and captured.err == ""
+
+    def test_help_prints_usage(self, capsys):
+        assert dispatch(["gen1", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: hcs gen1") and captured.err == ""
 
     def test_simulate_scheme_flags_exclusive(self, capsys, tmp_path):
         code = dispatch(
@@ -79,7 +97,12 @@ class TestUsage:
             ]
         )
         assert code == 2
-        capsys.readouterr()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "usage",
+            "message": "hcs simulate: argument --fixed: not allowed with argument --set",
+        }
 
 
 class TestGen1:
@@ -151,11 +174,28 @@ class TestGen1:
         assert built.sequence(0, 0).frame(0) == (0, 15)
         assert str(drivers) in read_manifest(out)["inputs"]
 
-    @pytest.mark.parametrize("value", [-1, 10**30, "x"], ids=["negative", "beyond-uint64", "string"])
-    def test_selector_not_uint64_exits_5(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize(
+        "stream, value",
+        [
+            ("selector", -1),
+            ("selector", 10**30),
+            ("selector", "x"),
+            ("selector", 1.5),
+            ("selector", 0.9),
+            ("selector", 1.0),
+            ("selector", True),
+            ("level_base", 0.9),
+        ],
+        ids=["negative", "beyond-uint64", "string", "float", "float-below-one",
+             "integral-float", "bool", "level-base-float"],
+    )
+    def test_selector_not_uint64_exits_5(self, tmp_path, capsys, stream, value):
+        # numpy alone would truncate a float entry and read a bool as 0 or 1
+        selector, base = [0] * 144, [0] * 144
+        (selector if stream == "selector" else base)[0] = value
         drivers = tmp_path / "drivers.json"
         drivers.write_text(
-            json.dumps({"selector": [value] + [0] * 143, "level_base": [[0] * 144] * 3})
+            json.dumps({"selector": selector, "level_base": [base] + [[0] * 144] * 2})
         )
         out = tmp_path / "set.json"
         argv = ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "0",
@@ -268,8 +308,14 @@ class TestVerify:
         doc["sequences"][0]["frames"][0][0] = 1
         path.write_text(json.dumps(doc))
         assert dispatch(["verify", str(path)]) == 4
-        out = capsys.readouterr().out
-        assert "FAIL" in out
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "verification-failed",
+            "message": f"{path} failed verification: zero_correlation, occupancy, slot_coverage",
+        }
 
     def test_report_file_written_on_failure(self, tmp_path, capsys):
         path = self.make_set(tmp_path, capsys)
@@ -436,6 +482,26 @@ class TestSacTrace:
         assert err["message"].startswith("script entry 1: " + reason)
         assert not out.exists()
 
+    def test_far_frame_exits_3(self, tmp_path, capsys):
+        set_path = tmp_path / "set2.json"
+        dispatch(gen2_args(set_path))
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"frame": 2**31, "action": "leave", "user": "A"}]))
+        out = tmp_path / "trace.json"
+        capsys.readouterr()
+        code = dispatch(
+            ["sac-trace", "--set", str(set_path), "--script", str(script), "--out", str(out)]
+        )
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "value-error",
+            "message": "script reaches frame 2147483648: an audit of 2147483649 frames "
+            "at load 8 exceeds 4194304 rows",
+        }
+        assert not out.exists()
+
     def test_waiting_user_leaves(self, tmp_path, capsys):
         set_path = tmp_path / "set1.json"
         dispatch(["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "1", "--out", str(set_path)])
@@ -592,6 +658,35 @@ class TestPipeline:
         )
         assert dispatch(["pipeline", str(plan)]) == 3
         assert "failed with exit code 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, code, kind, message",
+        [
+            (["gen1", "--t", "10", "--levels", "4:1", "--out", "x"], 3, "config-error",
+             "largest per-frame demand 4 must divide the frame size 10"),
+            (["bound", "--t", "x"], 2, "usage", "hcs bound: argument --t: invalid int value: 'x'"),
+            (["verify", "{set}"], 4, "verification-failed",
+             "{set} failed verification: zero_correlation, occupancy, slot_coverage"),
+        ],
+        ids=["config", "usage", "verification"],
+    )
+    def test_failed_stage_is_one_json_line(self, tmp_path, capsys, stage, code, kind, message):
+        set_path = tmp_path / "set2.json"
+        dispatch(gen2_args(set_path))
+        doc = json.loads(set_path.read_text())
+        doc["sequences"][0]["frames"][0][0] = 1
+        set_path.write_text(json.dumps(doc))
+        plan = tmp_path / "plan.json"
+        stages = [["bound", "--t", "8", "--levels", LEVELS8], [a.format(set=set_path) for a in stage]]
+        plan.write_text(json.dumps({"stages": stages}))
+        capsys.readouterr()
+        assert dispatch(["pipeline", str(plan)]) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": kind,
+            "message": f"[stage 1] failed with exit code {code}: " + message.format(set=set_path),
+        }
 
     def test_malformed_plan_exits_5(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"

@@ -3,16 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from hcskit import (
-    ConfigError,
-    DriverSequences,
-    SystemConfig,
-    cons1_params,
-    construct1,
-    derive_drivers,
-    unrank_permutation,
-    verify,
-)
+from hcskit import ConfigError, DriverSequences, SystemConfig, construct1, verify
+from hcskit.construction1 import cons1_params, derive_drivers, unrank_permutation
 
 
 def zero_drivers(config, params):

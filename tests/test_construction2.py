@@ -1,21 +1,59 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from hcskit import (
-    ConfigError,
+from hcskit import ConfigError, SystemConfig, construct2, verify
+from hcskit.construction2 import (
     Cons2Params,
-    MixedRadixIndex,
-    SystemConfig,
     cons2_params,
-    construct2,
-    evaluate_c,
     find_generator,
-    initial_set,
     multiplicative_order,
-    verify,
 )
+
+
+# ---------------------------------------------------------------------------
+# scalar form of the construction: the pointwise oracle construct2 must match
+
+
+@dataclass(frozen=True)
+class MixedRadixIndex:
+    """Composite frame index: digits a = (a_n, ..., a_1) base d, then b0 base t."""
+
+    a: tuple[int, ...]
+    b0: int
+
+    @classmethod
+    def from_value(cls, value: int, d: int, n: int, t: int) -> "MixedRadixIndex":
+        if d < 1 or n < 1 or t < 1:
+            raise ValueError("d, n, t must all be positive")
+        total = d**n * t
+        if not 0 <= value < total:
+            raise ValueError(f"index must lie in [0, {total}), got {value}")
+        b0 = value % t
+        q = value // t
+        digits = []
+        for _ in range(n):
+            digits.append(q % d)
+            q //= d
+        return cls(a=tuple(reversed(digits)), b0=b0)
+
+    def to_value(self, d: int, t: int) -> int:
+        q = 0
+        for digit in self.a:
+            q = q * d + digit
+        return q * t + self.b0
+
+
+def evaluate_c(k: int, index: MixedRadixIndex, params: Cons2Params, t: int) -> int:
+    """Row k's slot at the given composite index."""
+    if not 0 <= k < t:
+        raise ValueError(f"row must lie in [0, {t}), got {k}")
+    if len(index.a) != params.n:
+        raise ValueError(f"index has {len(index.a)} digits, construction uses {params.n}")
+    e = sum(index.a) % params.d
+    return pow(params.g, e, t) * (k + index.a[-1] + index.b0) % t
 
 
 def order_oracle(g, t):
@@ -65,22 +103,6 @@ class TestOrderAndGenerator:
             }
             assert d == max(orders.values())
             assert g == min(u for u, o in orders.items() if o == d)
-
-
-class TestInitialSet:
-    def test_eight_slot_rows(self):
-        table = initial_set(8)
-        assert table.shape == (8, 8)
-        assert np.array_equal(table[0], np.arange(8))
-        assert np.array_equal(table[3], (np.arange(8) + 3) % 8)
-
-    def test_degenerate(self):
-        assert np.array_equal(initial_set(1), [[0]])
-
-    def test_rows_are_cyclic_shifts(self):
-        table = initial_set(11)
-        for k in range(11):
-            assert np.array_equal(table[k], np.roll(table[0], -k))
 
 
 class TestMixedRadixIndex:

@@ -10,14 +10,14 @@ from hcskit import (
     LevelSpec,
     SchemaError,
     SystemConfig,
-    flatten,
     from_document,
     hamming_correlation,
     load_set,
     save_set,
-    subsequences,
     to_document,
 )
+
+from conftest import subsequences
 
 
 def brute_hamming(x, y, tau):
@@ -93,22 +93,6 @@ class TestConfigTypes:
 
 
 class TestFlatten:
-    def test_single_run(self):
-        seq = HcsSequence(level=0, user=0, frames=[[3], [1], [2]])
-        runs = flatten(seq)
-        assert len(runs) == 1
-        assert runs[0].tolist() == [3, 1, 2]
-
-    def test_regrouping_runs_restores_frames(self, set24):
-        for s in set24.sequences:
-            runs = flatten(s)
-            assert len(runs) == s.slots_per_frame
-            rebuilt = np.stack(runs, axis=1)
-            assert np.array_equal(rebuilt, s.frames)
-
-    def test_widest_level_has_six_runs(self, set24):
-        assert len(flatten(set24.sequence(2, 0))) == 6
-
     def test_every_pair_of_runs_is_collision_free(self, set24):
         # the exhaustive pairwise scan stated for generated sets
         runs = [run for _, _, _, run in subsequences(set24)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hcskit import ConfigError, sac
+from hcskit import ConfigError, HcsSet, SystemConfig, sac
 
 from conftest import random_script, remake_set, shadow_events
 
@@ -219,6 +219,30 @@ class TestRunScript:
     def test_unknown_action_rejected(self, set24):
         with pytest.raises(ValueError, match="unknown action"):
             sac.run_script(set24, [{"frame": 0, "action": "sleep", "user": "A"}])
+
+    @pytest.mark.parametrize("roster", ["full", "empty"])
+    def test_far_frame_refused(self, set24, roster):
+        # an audit up to frame 2**31 once ran for hours; an empty roster
+        # audits no rows but would still walk every frame
+        hcs_set = set24
+        if roster == "empty":
+            hcs_set = HcsSet(
+                config=SystemConfig(t=6, levels=((2, 0),)),
+                length=12,
+                sequences=(),
+                provenance={"kind": "c1", "params": {}},
+            )
+        script = [{"frame": 2**31, "action": "join", "user": "A", "level": 0}]
+        with pytest.raises(ValueError, match=f"exceeds {sac.MAX_AUDIT_ROWS} rows"):
+            sac.run_script(hcs_set, script)
+
+    def test_audit_bound_is_frames_times_load(self, set24, monkeypatch):
+        monkeypatch.setattr(sac, "MAX_AUDIT_ROWS", 2 * 24)
+        join = {"frame": 1, "action": "join", "user": "A", "level": 0}
+        _, audit, _ = sac.run_script(set24, [join])
+        assert {row[0] for row in audit} == {1}
+        with pytest.raises(ValueError, match="an audit of 3 frames at load 24 exceeds 48 rows"):
+            sac.run_script(set24, [dict(join, frame=2)])
 
     def test_sync_delay_defers_audit(self, set128):
         script = [{"frame": 0, "action": "join", "user": "A", "level": 0}]

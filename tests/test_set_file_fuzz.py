@@ -15,11 +15,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcskit import SystemConfig, construct1, construct2, derive_drivers, to_document
+from hcskit import SystemConfig, construct1, construct2, to_document
 from hcskit.cli import dispatch
+from hcskit.construction1 import derive_drivers
 
 DOCUMENTS = {
     "c1": to_document(construct1(SystemConfig(t=8, levels=((4, 2),), seed=1105))),
@@ -135,21 +136,12 @@ def _assert_exit_contract(argv):
         assert set(json.loads(line)) == {"error", "message"}
 
 
-def _last_frame(script):
-    entries = script if isinstance(script, list) else []
-    frames = [e.get("frame") for e in entries if isinstance(e, dict)]
-    return max((f for f in frames if isinstance(f, int)), default=0)
-
-
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_sac_trace_exit_contract(data):
     script = copy.deepcopy(SCRIPT)
     for _ in range(data.draw(st.integers(1, 3))):
         script = _mutate(data, script)
-    # run_script audits every frame up to the last scripted one, so a script
-    # reaching frame 2**31 would run for hours; it is no exit-code case
-    assume(_last_frame(script) <= 1000)
     with tempfile.TemporaryDirectory() as tmp:
         set_path, script_path = Path(tmp) / "set.json", Path(tmp) / "script.json"
         set_path.write_text(json.dumps(DOCUMENTS["c2"]), encoding="utf-8")

@@ -12,10 +12,10 @@ from hcskit import (
     construct1,
     interference_hit_fraction,
     rng,
-    scenario_label,
     simulate_ser,
     simulator,
 )
+from hcskit.simulator import scenario_label
 
 
 def qfunc(x):

@@ -8,13 +8,11 @@ from hcskit import (
     check_bound,
     construct2,
     dumps_document,
-    occupancy_histogram,
-    subsequences,
     verify,
 )
 from hcskit.verification import CheckResult, VerificationReport
 
-from conftest import remake_set
+from conftest import remake_set, subsequences
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +279,9 @@ class TestCleanSets:
         assert d["uniformity_deviation"] == 0.0
 
     def test_histogram_goldens(self, set24, set128, set32):
-        assert np.all(occupancy_histogram(set24) == 144)
-        assert np.all(occupancy_histogram(set128) == 128)
-        assert np.all(occupancy_histogram(set32) == 32)
+        assert verify(set24).occupancy_counts == (144,) * 24
+        assert verify(set128).occupancy_counts == (128,) * 8
+        assert verify(set32).occupancy_counts == (32,) * 8
 
     def test_single_run_set_is_vacuously_clean(self):
         built = construct2(SystemConfig(t=4, levels=((1, 1),)), n=1)
@@ -307,7 +305,6 @@ class TestCleanSets:
         report = verify(empty)
         assert report.passed
         assert report.occupancy_counts == (0,) * 6
-        assert np.all(occupancy_histogram(empty) == 0)
 
 
 class TestPlantedMutations:
@@ -355,8 +352,6 @@ class TestPlantedMutations:
         assert not report.occupancy.passed
         assert not report.slot_coverage.passed
         assert any("out-of-range" in w for w in report.warnings)
-        with pytest.raises(ValueError, match="out-of-range"):
-            occupancy_histogram(mutated)
 
     def test_count_preserving_swap_caught_by_coverage(self, set24):
         # swapping a slot between two frames of one run keeps every
