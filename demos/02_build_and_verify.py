@@ -28,14 +28,14 @@ def main():
         print(f"      level {level} user {user}: {s.frame(0)} then {s.frame(1)}")
 
     cfg8 = SystemConfig(t=8, levels=((1, 1), (3, 1), (4, 1)))
-    compat = construct2(cfg8, n=2, g=3, d=4, mode="compat")
+    compat = construct2(cfg8, n=2, g=3, d=4)
     print()
     report_lines(compat, "modular-affine set (8 slots, compat d=4)")
     s00 = compat.sequence(0, 0)
     print(f"    single-slot user, frames 0..15: "
           f"{[int(x) for x in s00.frames[:16, 0]]}")
 
-    # true-order mode derives d=2 for g=3 mod 8, so the cycle is 4x shorter
+    # with d omitted it is g's true order, 2 for g=3 mod 8, so the cycle is 4x shorter
     true_order = construct2(cfg8, n=2, g=3)
     print()
     report_lines(true_order, "modular-affine set (8 slots, true order d=2)")

@@ -48,9 +48,7 @@ def run(hcs_set, interference, power_db, snrs):
 
 
 def main():
-    hcs_set = construct2(
-        SystemConfig(t=8, levels=((1, 1), (3, 1), (4, 1))), n=2, g=3, d=4, mode="compat"
-    )
+    hcs_set = construct2(SystemConfig(t=8, levels=((1, 1), (3, 1), (4, 1))), n=2, g=3, d=4)
     run(hcs_set, interference=(2,), power_db=10.0, snrs=(0.0, 5.0, 10.0, 14.0))
     run(hcs_set, interference=(1, 4, 5), power_db=15.0, snrs=(0.0, 5.0, 10.0, 14.0))
 

@@ -15,8 +15,8 @@ JSON exits 5; each plan stage names a subcommand other than pipeline.
 
 Usage examples:
     hcs gen1 --t 24 --levels 2:3,3:4,6:1 --seed 7 --out set1.json
-    hcs gen2 --t 8 --levels 1:1,3:1,4:1 --rounds 2 --order-mode compat \
-        --g 3 --d 4 --out set2.json
+    hcs gen2 --t 8 --levels 1:1,3:1,4:1 --rounds 2 --g 3 --d 4 \
+        --out set2.json
     hcs bound --t 24 --levels 2:3,3:4,6:1
     hcs enumerate --t 24 --r 1,2,6 --out lattice.csv
     hcs verify set1.json
@@ -218,19 +218,18 @@ def _load_drivers(path: Path) -> construction1.DriverSequences:
 
 
 def _int_stream(values, dtype) -> np.ndarray:
-    # numpy would truncate a float entry and read a bool as 0 or 1
-    if isinstance(values, list) and any(isinstance(v, (bool, float)) for v in values):
-        raise TypeError("found a float or boolean entry")
+    # numpy would truncate a float entry, read a bool as 0 or 1 and take any nesting
+    if not isinstance(values, list) or any(
+        isinstance(v, bool) or not isinstance(v, int) for v in values
+    ):
+        raise TypeError("each stream must be a list of integers")
     return np.asarray(values, dtype=dtype)
 
 
 def _cmd_gen2(args: argparse.Namespace) -> int:
     started = time.monotonic()
     config = SystemConfig(t=args.t, levels=args.levels)
-    mode = {"true": "true-order", "compat": "compat"}[args.order_mode]
-    hcs_set = construction2.construct2(
-        config, n=args.rounds, g=args.g, d=args.d, mode=mode
-    )
+    hcs_set = construction2.construct2(config, n=args.rounds, g=args.g, d=args.d)
     out = Path(args.out)
     save_set(hcs_set, out)
     _write_manifest(args, [], [out], started)
@@ -401,7 +400,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     path = Path(args.file)
     doc = read_json(path)
-    stages = doc.get("stages") if isinstance(doc, dict) else doc
+    stages = doc.get("stages") if isinstance(doc, dict) else None
     if not isinstance(stages, list) or any(
         not isinstance(s, list) or not s or any(not isinstance(a, str) for a in s) for s in stages
     ):
@@ -460,13 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_parse_levels, required=True)
     p.add_argument("--rounds", type=int, required=True, help="extension rounds n")
     p.add_argument("--g", type=int, default=None, help="unit modulo t (default: derived)")
-    p.add_argument("--d", type=int, default=None, help="exponent modulus (compat mode)")
-    p.add_argument(
-        "--order-mode",
-        choices=("true", "compat"),
-        default="true",
-        help="true: d is g's multiplicative order; compat: take --d as given",
-    )
+    p.add_argument("--d", type=int, default=None, help="exponent modulus as given (needs --g)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen2)
 

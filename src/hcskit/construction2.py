@@ -11,10 +11,11 @@ Distinct rows stay distinct at every index because g's powers are units,
 so a roster mapped to disjoint row ranges is collision-free; each row also
 visits every slot exactly d^n times per cycle.
 
-By default d is the true multiplicative order of g.  A compat mode accepts
-an explicit d (e.g. the unit-group size) for reproducing previously
-published tables built with an overstated order; all collision and
-occupancy properties hold for any d >= 1.
+When d is omitted it is the true multiplicative order of g.  An explicit d
+(e.g. the unit-group size, for reproducing previously published tables
+built with an overstated order) is taken as given and needs an explicit g;
+all collision and occupancy properties hold for any d >= 1.  Provenance
+records such a set as "compat" and a true-order one as "true-order".
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, HcsSequence, HcsSet, SystemConfig
-
-MODES = ("true-order", "compat")
 
 # guard against accidental huge d^n * t allocations
 MAX_LENGTH = 20_000_000
@@ -73,36 +72,26 @@ def cons2_params(
     n: int,
     g: int | None = None,
     d: int | None = None,
-    mode: str = "true-order",
 ) -> Cons2Params:
     t = config.t
     if t < 2:
         raise ConfigError(f"frame size must be at least 2, got {t}")
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"round count must be a positive int, got {n!r}")
-    if mode not in MODES:
-        raise ConfigError(f"unknown order mode {mode!r}, expected one of {MODES}")
     if config.load > t:
         raise ConfigError(
             f"roster claims {config.load} slots per frame but the frame has only {t}"
         )
-    if mode == "true-order":
+    if g is None:
         if d is not None:
-            raise ConfigError("exponent modulus is derived from g in true-order mode")
-        if g is None:
-            g, d = find_generator(t)
-        else:
-            try:
-                d = multiplicative_order(g, t)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-    else:
-        if g is None or d is None:
-            raise ConfigError("compat mode requires explicit g and d")
-        if math.gcd(g, t) != 1:
-            raise ConfigError(f"{g} is not a unit modulo {t}")
-        if d < 1:
-            raise ConfigError(f"exponent modulus must be positive, got {d}")
+            raise ConfigError("an explicit exponent modulus d needs an explicit unit g")
+        g, d = find_generator(t)
+    elif math.gcd(g, t) != 1:
+        raise ConfigError(f"{g} is not a unit modulo {t}")
+    elif d is None:
+        d = multiplicative_order(g, t)
+    elif d < 1:
+        raise ConfigError(f"exponent modulus must be positive, got {d}")
     omega2 = []
     prefix = 0
     for lv in config.levels:
@@ -121,15 +110,17 @@ def construct2(
     n: int,
     g: int | None = None,
     d: int | None = None,
-    mode: str = "true-order",
 ) -> HcsSet:
     """Build the iterated modular-affine sequence set.
+
+    An omitted d is g's true order (g is derived too if omitted); an explicit
+    d is taken as given and needs an explicit g.
 
     Users are packed onto consecutive rows in level order: level i's user j
     owns rows offset + j*r_i .. offset + (j+1)*r_i - 1, where offset is the
     total slot load of the levels below i.
     """
-    params = cons2_params(config, n, g=g, d=d, mode=mode)
+    params = cons2_params(config, n, g=g, d=d)
     t = config.t
     length = params.d**n * t
 
@@ -155,6 +146,7 @@ def construct2(
             frames = (mult[:, None] * (rows[None, :] + shift[:, None])) % t
             sequences.append(HcsSequence(level=i, user=j, frames=frames))
 
+    mode = "true-order" if d is None else "compat"
     return HcsSet(
         config=config,
         length=length,

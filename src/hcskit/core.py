@@ -231,9 +231,11 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+def _as_int(value, where: str, minimum: int | None = None) -> int:
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not is_int or (minimum is not None and value < minimum):
+        least = "" if minimum is None else f" >= {minimum}"
+        raise SchemaError(f"{where}: expected an integer{least}, got {value!r}")
     return value
 
 
@@ -241,10 +243,10 @@ def from_document(doc) -> HcsSet:
     """Parse an interchange document; raises SchemaError naming the bad spot.
 
     Structural validity only: counts, shapes, and types are enforced here
-    (slots must fit in int64, and a c2 set's params d and n must be ints
-    >= 0), while semantic slot properties (range, collisions, occupancy) are
-    the verification module's job so that corrupted-but-well-formed sets can
-    be loaded and then diagnosed.
+    (slots must fit in int64, a c2 set's params d and n must be ints >= 0,
+    and so must a seed, if present), while semantic slot properties (range,
+    collisions, occupancy) are the verification module's job so that
+    corrupted-but-well-formed sets can be loaded and then diagnosed.
     """
     if not isinstance(doc, dict):
         raise SchemaError(f"document root: expected an object, got {type(doc).__name__}")
@@ -281,15 +283,8 @@ def from_document(doc) -> HcsSet:
     if kind == "c2":
         # verify reads each run's slot visits d**n off these two
         for key in ("d", "n"):
-            value = params.get(key)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise SchemaError(
-                    f"construction.params.{key}: expected an integer >= 0, got {value!r}"
-                )
-
-    seed = params.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        seed = 0
+            _as_int(params.get(key), f"construction.params.{key}", minimum=0)
+    seed = _as_int(params.get("seed", 0), "construction.params.seed", minimum=0)
     try:
         config = SystemConfig(t=t, levels=tuple(levels), seed=seed)
     except ConfigError as exc:

@@ -10,9 +10,10 @@ and collision freedom carries over from the verified set.
 """
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import numbers
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ ALIGNMENTS = ("global", "per-user")
 MAX_AUDIT_ROWS = 1 << 22
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SacEvent:
     frame: int
     kind: str
@@ -33,20 +34,7 @@ class SacEvent:
     sequence: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "frame": self.frame,
-            "kind": self.kind,
-            "user": self.user,
-            "level": self.level,
-            "sequence": self.sequence,
-        }
-
-
-@dataclass
-class _Assignment:
-    level: int
-    sequence: int
-    join_frame: int
+        return dataclasses.asdict(self)
 
 
 class SacState:
@@ -75,7 +63,8 @@ class SacState:
         for pool in self.pools:
             pool.sort()
         self.queues: list[deque[str]] = [deque() for _ in hcs_set.config.levels]
-        self.assignments: dict[str, _Assignment] = {}
+        # each holder's grant: the event that gave it its sequence
+        self.assignments: dict[str, SacEvent] = {}
         if assign_seed is None:
             self._rng = None
             self.policy = "lowest-id"
@@ -97,7 +86,10 @@ class SacState:
             return pool.pop(0)
         return pool.pop(int(self._rng.integers(len(pool))))
 
-    def _log(self, event: SacEvent) -> SacEvent:
+    def _log(
+        self, frame: int, kind: str, user: str, level: int, sequence: int | None = None
+    ) -> SacEvent:
+        event = SacEvent(frame=frame, kind=kind, user=user, level=level, sequence=sequence)
         self.events.append(event)
         return event
 
@@ -112,18 +104,14 @@ class SacState:
             raise ValueError(f"user {user!r} already holds a sequence")
         if any(user in q for q in self.queues):
             raise ValueError(f"user {user!r} is already waiting")
-        self._log(SacEvent(frame=frame, kind="join-request", user=user, level=level))
+        self._log(frame, "join-request", user, level)
         pool = self.pools[level]
         if pool:
-            sid = self._pick(pool)
-            self.assignments[user] = _Assignment(
-                level=level, sequence=sid, join_frame=frame + self.sync_delay
-            )
-            return self._log(
-                SacEvent(frame=frame, kind="assigned", user=user, level=level, sequence=sid)
-            )
+            grant = self._log(frame, "assigned", user, level, self._pick(pool))
+            self.assignments[user] = grant
+            return grant
         self.queues[level].append(user)
-        return self._log(SacEvent(frame=frame, kind="queued", user=user, level=level))
+        return self._log(frame, "queued", user, level)
 
     def release(self, user: str, frame: int) -> list[SacEvent]:
         """Leave; frees the sequence and grants it to the queue head, if any.
@@ -132,45 +120,21 @@ class SacState:
         then carries no sequence.
         """
         self._advance(frame)
-        assignment = self.assignments.pop(user, None)
-        if assignment is None:
+        grant = self.assignments.pop(user, None)
+        if grant is None:
             for level, queue in enumerate(self.queues):
                 if user in queue:
                     queue.remove(user)
-                    event = SacEvent(frame=frame, kind="released", user=user, level=level)
-                    return [self._log(event)]
+                    return [self._log(frame, "released", user, level)]
             raise ValueError(f"user {user!r} holds no sequence and is not waiting")
-        level = assignment.level
-        out = [
-            self._log(
-                SacEvent(
-                    frame=frame,
-                    kind="released",
-                    user=user,
-                    level=level,
-                    sequence=assignment.sequence,
-                )
-            )
-        ]
+        level, sid = grant.level, grant.sequence
+        out = [self._log(frame, "released", user, level, sid)]
         if self.queues[level]:
             head = self.queues[level].popleft()
-            self.assignments[head] = _Assignment(
-                level=level, sequence=assignment.sequence, join_frame=frame + self.sync_delay
-            )
-            out.append(
-                self._log(
-                    SacEvent(
-                        frame=frame,
-                        kind="granted-from-queue",
-                        user=head,
-                        level=level,
-                        sequence=assignment.sequence,
-                    )
-                )
-            )
+            self.assignments[head] = self._log(frame, "granted-from-queue", head, level, sid)
+            out.append(self.assignments[head])
         else:
-            self.pools[level].append(assignment.sequence)
-            self.pools[level].sort()
+            bisect.insort(self.pools[level], sid)
         return out
 
     def slots_for(self, user: str, frame: int) -> tuple[int, ...]:
@@ -180,18 +144,17 @@ class SacState:
         per-user alignment starts each user at its own join frame.  Both wrap
         cyclically after the sequence length.
         """
-        assignment = self.assignments.get(user)
-        if assignment is None:
+        grant = self.assignments.get(user)
+        if grant is None:
             raise ValueError(f"user {user!r} holds no sequence")
-        if frame < assignment.join_frame:
-            raise ValueError(
-                f"user {user!r} is not synchronized until frame {assignment.join_frame}"
-            )
-        seq = self.hcs_set.sequences[assignment.sequence]
+        join_frame = grant.frame + self.sync_delay
+        if frame < join_frame:
+            raise ValueError(f"user {user!r} is not synchronized until frame {join_frame}")
+        seq = self.hcs_set.sequences[grant.sequence]
         if self.alignment == "global":
             index = frame % seq.length
         else:
-            index = (frame - assignment.join_frame) % seq.length
+            index = (frame - join_frame) % seq.length
         return seq.frame(index)
 
     # -- snapshots ---------------------------------------------------------
@@ -286,11 +249,11 @@ def run_script(
                 state.release(entry["user"], frame)
             cursor += 1
         rows = []
-        for user, assignment in state.assignments.items():
-            if assignment.join_frame > frame:
+        for user, grant in state.assignments.items():
+            if grant.frame + state.sync_delay > frame:
                 continue
             for slot in state.slots_for(user, frame):
-                rows.append((frame, slot, user, assignment.level, assignment.sequence))
+                rows.append((frame, slot, user, grant.level, grant.sequence))
         rows.sort(key=lambda row: (row[1], row[2]))
         seen: dict[int, str] = {}
         for row in rows:

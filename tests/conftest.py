@@ -26,14 +26,14 @@ def cfg8():
 
 @pytest.fixture(scope="session")
 def set128(cfg8):
-    """Modular-affine set in compat mode: length 128 over 8 slots."""
-    return construct2(cfg8, n=2, g=3, d=4, mode="compat")
+    """Modular-affine set with d=4 given: length 128 over 8 slots."""
+    return construct2(cfg8, n=2, g=3, d=4)
 
 
 @pytest.fixture(scope="session")
 def set32(cfg8):
-    """Modular-affine set in true-order mode: d=2, length 32."""
-    return construct2(cfg8, n=2, g=3, mode="true-order")
+    """Modular-affine set with d omitted: g's true order d=2, length 32."""
+    return construct2(cfg8, n=2, g=3)
 
 
 @pytest.fixture(scope="session")

@@ -81,13 +81,13 @@ def sample_c2_config(gen):
             _, d = find_generator(t)
             if d**n * t > 100_000:
                 continue
-            return SystemConfig(t=t, levels=tuple(levels)), dict(n=n, mode="true-order")
+            return SystemConfig(t=t, levels=tuple(levels)), dict(n=n)
         units = [u for u in range(1, t) if math.gcd(u, t) == 1]
         g = int(units[int(gen.integers(len(units)))])
         d = int(gen.integers(1, 5))
         if d**n * t > 100_000:
             continue
-        return SystemConfig(t=t, levels=tuple(levels)), dict(n=n, g=g, d=d, mode="compat")
+        return SystemConfig(t=t, levels=tuple(levels)), dict(n=n, g=g, d=d)
 
 
 def plant_mutation(hcs_set, gen):
@@ -131,7 +131,7 @@ def test_criterion_02_permutation_sets_verify_across_seeds():
 
 
 def test_criterion_03_modular_set_reference_values():
-    built = construct2(SystemConfig(t=8, levels=LEVELS8), n=2, g=3, d=4, mode="compat")
+    built = construct2(SystemConfig(t=8, levels=LEVELS8), n=2, g=3, d=4)
     s00 = built.sequence(0, 0)
     assert tuple(s00.frames[:8, 0]) == tuple(range(8))
     assert tuple(s00.frames[8:16, 0]) == (3, 6, 1, 4, 7, 2, 5, 0)
@@ -143,7 +143,7 @@ def test_criterion_03_modular_set_reference_values():
 
 
 def test_criterion_04_per_run_occupancy():
-    compat = construct2(SystemConfig(t=8, levels=LEVELS8), n=2, g=3, d=4, mode="compat")
+    compat = construct2(SystemConfig(t=8, levels=LEVELS8), n=2, g=3, d=4)
     for s in compat.sequences:
         for col in range(s.slots_per_frame):
             assert np.all(np.bincount(s.frames[:, col], minlength=8) == 16)
@@ -191,7 +191,7 @@ def test_criterion_07_allocator_scripts_collision_free():
     gen = np.random.default_rng(77)
     sets = (
         construct1(SystemConfig(t=24, levels=LEVELS24, seed=20240817)),
-        construct2(SystemConfig(t=8, levels=LEVELS8), n=2, g=3, d=4, mode="compat"),
+        construct2(SystemConfig(t=8, levels=LEVELS8), n=2, g=3, d=4),
     )
     checked = 0
     for hcs_set in sets:
@@ -212,7 +212,7 @@ def test_criterion_07_allocator_scripts_collision_free():
 
 def test_criterion_08_interference_exposure():
     started = time.monotonic()
-    hcs_set = construct2(SystemConfig(t=8, levels=LEVELS8), n=2, g=3, d=4, mode="compat")
+    hcs_set = construct2(SystemConfig(t=8, levels=LEVELS8), n=2, g=3, d=4)
     frames = 100_000
     fraction = interference_hit_fraction(HcsScheme(hcs_set), [2], frames=frames, t=8)
     sigma = math.sqrt(0.125 * 0.875 / (frames * 4))
@@ -228,7 +228,7 @@ def test_criterion_08_interference_exposure():
 
 
 def test_criterion_09_ser_advantage():
-    hcs_set = construct2(SystemConfig(t=8, levels=LEVELS8), n=2, g=3, d=4, mode="compat")
+    hcs_set = construct2(SystemConfig(t=8, levels=LEVELS8), n=2, g=3, d=4)
     common = dict(
         t=8,
         interference_slots=(2,),
@@ -282,8 +282,6 @@ def test_criterion_10_pipeline_reruns_byte_identical(tmp_path, capsys, monkeypat
             "1:1,3:1,4:1",
             "--rounds",
             "2",
-            "--order-mode",
-            "compat",
             "--g",
             "3",
             "--d",

@@ -1,10 +1,13 @@
-"""The public surface is the one the README's "Python API" section lists."""
+"""The public surface is the one the README's "Python API" section lists,
+and every documented ``hcs`` command line still parses."""
 import importlib
 import re
+import shlex
 import types
 from pathlib import Path
 
 import hcskit
+from hcskit import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +36,19 @@ def test_package_root_exports_only_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(hcskit.__all__) - {"__version__"}
+
+
+def documented_commands(text: str) -> list[list[str]]:
+    """The arguments of every `hcs ...` line in text, continuations joined."""
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.strip().startswith("hcs ")]
+
+
+def test_documented_commands_parse():
+    readme_blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    parser = cli.build_parser()
+    for text in ["\n".join(readme_blocks), cli.__doc__]:
+        commands = documented_commands(text)
+        assert commands
+        for argv in commands:
+            parser.parse_args(argv)

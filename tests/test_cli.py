@@ -20,8 +20,6 @@ def gen2_args(out):
         LEVELS8,
         "--rounds",
         "2",
-        "--order-mode",
-        "compat",
         "--g",
         "3",
         "--d",
@@ -175,28 +173,34 @@ class TestGen1:
         assert str(drivers) in read_manifest(out)["inputs"]
 
     @pytest.mark.parametrize(
-        "stream, value",
+        "path, value",
         [
-            ("selector", -1),
-            ("selector", 10**30),
-            ("selector", "x"),
-            ("selector", 1.5),
-            ("selector", 0.9),
-            ("selector", 1.0),
-            ("selector", True),
-            ("level_base", 0.9),
+            (("selector", 0), -1),
+            (("selector", 0), 10**30),
+            (("selector", 0), "x"),
+            (("selector", 0), 1.5),
+            (("selector", 0), 0.9),
+            (("selector", 0), 1.0),
+            (("selector", 0), True),
+            (("level_base", 0, 0), 0.9),
+            (("selector",), [[0] * 144]),
+            (("selector",), 5),
+            (("level_base",), [0] * 144),
         ],
         ids=["negative", "beyond-uint64", "string", "float", "float-below-one",
-             "integral-float", "bool", "level-base-float"],
+             "integral-float", "bool", "level-base-float", "nested", "not-a-list",
+             "flat-level-base"],
     )
-    def test_selector_not_uint64_exits_5(self, tmp_path, capsys, stream, value):
-        # numpy alone would truncate a float entry and read a bool as 0 or 1
-        selector, base = [0] * 144, [0] * 144
-        (selector if stream == "selector" else base)[0] = value
+    def test_selector_not_uint64_exits_5(self, tmp_path, capsys, path, value):
+        # numpy alone would truncate a float entry, read a bool as 0 or 1 and
+        # accept a nested or a scalar stream
+        doc = {"selector": [0] * 144, "level_base": [[0] * 144 for _ in range(3)]}
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
         drivers = tmp_path / "drivers.json"
-        drivers.write_text(
-            json.dumps({"selector": selector, "level_base": [base] + [[0] * 144] * 2})
-        )
+        drivers.write_text(json.dumps(doc))
         out = tmp_path / "set.json"
         argv = ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "0",
                 "--drivers", str(drivers), "--out", str(out)]
@@ -223,24 +227,16 @@ class TestGen2:
         capsys.readouterr()
         assert out.read_text() == dumps_document(to_document(set128))
 
-    def test_true_order_rejects_modulus(self, tmp_path, capsys):
-        args = [
-            "gen2",
-            "--t",
-            "8",
-            "--levels",
-            LEVELS8,
-            "--rounds",
-            "2",
-            "--g",
-            "3",
-            "--d",
-            "4",
-            "--out",
-            str(tmp_path / "x.json"),
-        ]
+    def test_modulus_without_unit_exits_3(self, tmp_path, capsys):
+        out = str(tmp_path / "x.json")
+        args = ["gen2", "--t", "8", "--levels", LEVELS8, "--rounds", "2", "--d", "4", "--out", out]
         assert dispatch(args) == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "config-error"
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "config-error",
+            "message": "an explicit exponent modulus d needs an explicit unit g",
+        }
 
 
 class TestBoundAndEnumerate:
@@ -359,7 +355,7 @@ class TestVerify:
             "message": "sequences[2].frames: slots must fit in int64",
         }
 
-    @pytest.mark.parametrize("key, value", [("d", "x"), ("n", -2)])
+    @pytest.mark.parametrize("key, value", [("d", "x"), ("n", -2), ("seed", "x")])
     def test_malformed_c2_params_exit_5(self, tmp_path, capsys, key, value):
         path = self.make_set(tmp_path, capsys)
         doc = json.loads(path.read_text())
@@ -687,6 +683,12 @@ class TestPipeline:
             "error": kind,
             "message": f"[stage 1] failed with exit code {code}: " + message.format(set=set_path),
         }
+
+    def test_bare_stage_list_exits_5(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps([["bound", "--t", "8", "--levels", LEVELS8]]))
+        err = assert_schema_error(capsys, ["pipeline", str(plan)])
+        assert err["message"] == f"{plan}: expected {{'stages': [[arg, ...], ...]}}"
 
     def test_malformed_plan_exits_5(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"

@@ -171,22 +171,18 @@ class TestParams:
         assert p.omega2 == (0, 1, 4)
 
     def test_compat_accepts_overstated_modulus(self, cfg8):
-        p = cons2_params(cfg8, n=2, g=3, d=4, mode="compat")
+        p = cons2_params(cfg8, n=2, g=3, d=4)
         assert (p.g, p.d) == (3, 4)
 
-    def test_true_order_rejects_supplied_modulus(self, cfg8):
-        with pytest.raises(ConfigError, match="derived from g"):
-            cons2_params(cfg8, n=2, g=3, d=4)
-
-    def test_compat_requires_both(self, cfg8):
-        with pytest.raises(ConfigError, match="explicit g and d"):
-            cons2_params(cfg8, n=2, g=3, mode="compat")
+    def test_modulus_requires_unit(self, cfg8):
+        with pytest.raises(ConfigError, match="needs an explicit unit g"):
+            cons2_params(cfg8, n=2, d=4)
 
     def test_non_unit_multiplier(self, cfg8):
         with pytest.raises(ConfigError, match="not a unit"):
             cons2_params(cfg8, n=2, g=2)
         with pytest.raises(ConfigError, match="not a unit"):
-            cons2_params(cfg8, n=2, g=2, d=3, mode="compat")
+            cons2_params(cfg8, n=2, g=2, d=3)
 
     def test_small_frame_rejected(self):
         with pytest.raises(ConfigError, match="at least 2"):
@@ -198,17 +194,13 @@ class TestParams:
         with pytest.raises(ConfigError, match="positive int"):
             cons2_params(cfg8, n="2")
 
-    def test_unknown_mode(self, cfg8):
-        with pytest.raises(ConfigError, match="order mode"):
-            cons2_params(cfg8, n=2, mode="fast")
-
     def test_over_capacity(self):
         with pytest.raises(ConfigError, match="claims"):
             cons2_params(SystemConfig(t=8, levels=((3, 3),)), n=1)
 
     def test_length_guard(self, cfg8):
         with pytest.raises(ConfigError, match="guard"):
-            cons2_params(cfg8, n=4, g=3, d=100, mode="compat")
+            cons2_params(cfg8, n=4, g=3, d=100)
 
 
 class TestConstruct:
@@ -245,13 +237,13 @@ class TestConstruct:
                 assert np.all(counts == 4)
 
     def test_compat_with_true_modulus_matches_true_order(self, cfg8, set32):
-        via_compat = construct2(cfg8, n=2, g=3, d=2, mode="compat")
+        via_compat = construct2(cfg8, n=2, g=3, d=2)
         for s, q in zip(via_compat.sequences, set32.sequences):
             assert np.array_equal(s.frames, q.frames)
 
     def test_matches_pointwise_evaluator(self, cfg8):
-        built = construct2(cfg8, n=2, g=3, d=4, mode="compat")
-        p = cons2_params(cfg8, n=2, g=3, d=4, mode="compat")
+        built = construct2(cfg8, n=2, g=3, d=4)
+        p = cons2_params(cfg8, n=2, g=3, d=4)
         rows = {(0, 0): [0], (1, 0): [1, 2, 3], (2, 0): [4, 5, 6, 7]}
         gen = np.random.default_rng(3)
         for (level, user), krows in rows.items():
@@ -272,6 +264,6 @@ class TestConstruct:
         assert built.sequence(1, 1).frame(0) == (8, 9, 10, 11)
 
     def test_rebuild_identical(self, cfg8, set128):
-        again = construct2(cfg8, n=2, g=3, d=4, mode="compat")
+        again = construct2(cfg8, n=2, g=3, d=4)
         for s, q in zip(set128.sequences, again.sequences):
             assert np.array_equal(s.frames, q.frames)

@@ -218,6 +218,18 @@ class TestDocuments:
         with pytest.raises(SchemaError, match=f"construction.params.{key}"):
             from_document(doc)
 
+    @pytest.mark.parametrize("value", ["x", -1, True, 2.0, None])
+    def test_seed_must_be_non_negative_int(self, set24, value):
+        doc = to_document(set24)
+        doc["construction"]["params"]["seed"] = value
+        with pytest.raises(SchemaError, match="construction.params.seed: expected an integer >= 0"):
+            from_document(doc)
+
+    def test_missing_seed_loads_as_zero(self, set24):
+        doc = to_document(set24)
+        del doc["construction"]["params"]["seed"]
+        assert from_document(doc).config.seed == 0
+
     def test_c2_params_checked_only_for_c2(self, set24):
         doc = to_document(set24)
         doc["construction"]["params"]["d"] = "x"
