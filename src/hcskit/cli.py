@@ -10,8 +10,8 @@ Exit codes: 0 success, 2 usage error, 3 invalid configuration or
 parameters, 4 verification gate failed, 5 file or schema error.  Every
 failure, a usage error or a failed pipeline stage included, prints a single
 JSON object on stderr.  Every JSON input (set file, sac script, pipeline
-plan, driver file) is read by ``core.read_json``, so one that is not UTF-8
-JSON exits 5; each plan stage names a subcommand other than pipeline.
+plan) is read by ``core.read_json``, so one that is not UTF-8 JSON exits 5;
+each plan stage names a subcommand other than pipeline.
 
 Usage examples:
     hcs gen1 --t 24 --levels 2:3,3:4,6:1 --seed 7 --out set1.json
@@ -40,8 +40,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, bound, construction1, construction2, sac, simulator, verification
 from .core import (
     ConfigError,
@@ -63,11 +61,11 @@ EXIT_IO = 5
 
 
 class _Failure(Exception):
-    """A failed invocation: its exit code, error kind and message."""
+    """A failed invocation: its exit code, error kind, message and the files it wrote."""
 
-    def __init__(self, code: int, kind: str, message) -> None:
+    def __init__(self, code: int, kind: str, message, outputs=()) -> None:
         super().__init__(str(message))
-        self.code, self.kind = code, kind
+        self.code, self.kind, self.outputs = code, kind, list(outputs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,11 +139,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(
-    args: argparse.Namespace, inputs: list[Path], outputs: list[Path], started: float
-) -> None:
-    """One manifest next to the first output, digesting all inputs/outputs."""
+def _write_manifest(args: argparse.Namespace, outputs: list[Path], started: float) -> None:
+    """One manifest next to the first output, digesting the input files and outputs."""
     params = _echo(args)
+    inputs = [Path(params[key]) for key in ("set", "script") if params.get(key)]
     manifest = {
         "subcommand": args.subcommand,
         "parameters": params,
@@ -185,94 +182,58 @@ def _echo(args: argparse.Namespace) -> dict:
 # subcommands
 
 
-def _cmd_gen1(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_gen1(args: argparse.Namespace) -> list[Path]:
     config = SystemConfig(t=args.t, levels=args.levels, seed=args.seed)
-    drivers = None
-    inputs = []
-    if args.drivers:
-        drivers = _load_drivers(Path(args.drivers))
-        inputs.append(Path(args.drivers))
-    hcs_set = construction1.construct1(config, drivers=drivers)
+    hcs_set = construction1.construct1(config)
     out = Path(args.out)
     save_set(hcs_set, out)
-    _write_manifest(args, inputs, [out], started)
     print(
         f"wrote {out}: length {hcs_set.length}, {hcs_set.config.num_users} sequences, "
         f"{hcs_set.t} slots"
     )
-    return EXIT_OK
+    return [out]
 
 
-def _load_drivers(path: Path) -> construction1.DriverSequences:
-    doc = read_json(path)
-    if not isinstance(doc, dict) or "selector" not in doc or "level_base" not in doc:
-        raise SchemaError(f"{path}: driver file needs 'selector' and 'level_base' arrays")
-    try:
-        return construction1.DriverSequences(
-            selector=_int_stream(doc["selector"], np.uint64),
-            level_base=tuple(_int_stream(b, np.int64) for b in doc["level_base"]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{path}: driver streams must hold integers that fit: {exc}") from exc
-
-
-def _int_stream(values, dtype) -> np.ndarray:
-    # numpy would truncate a float entry, read a bool as 0 or 1 and take any nesting
-    if not isinstance(values, list) or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in values
-    ):
-        raise TypeError("each stream must be a list of integers")
-    return np.asarray(values, dtype=dtype)
-
-
-def _cmd_gen2(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_gen2(args: argparse.Namespace) -> list[Path]:
     config = SystemConfig(t=args.t, levels=args.levels)
     hcs_set = construction2.construct2(config, n=args.rounds, g=args.g, d=args.d)
     out = Path(args.out)
     save_set(hcs_set, out)
-    _write_manifest(args, [], [out], started)
     params = hcs_set.provenance["params"]
     print(
         f"wrote {out}: length {hcs_set.length}, g={params['g']} d={params['d']} "
         f"n={params['n']} ({params['mode']})"
     )
-    return EXIT_OK
+    return [out]
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_bound(args: argparse.Namespace) -> list[Path]:
     config = SystemConfig(t=args.t, levels=args.levels)
     report = bound.check_bound(config)
     text = dumps_document(report.to_dict())
-    if args.out:
-        out = Path(args.out)
+    outputs = [Path(args.out)] if args.out else []
+    for out in outputs:
         write_text(out, text)
-        _write_manifest(args, [], [out], started)
     sys.stdout.write(text)
-    return EXIT_OK
+    return outputs
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_enumerate(args: argparse.Namespace) -> list[Path]:
     tuples = bound.enumerate_user_counts(args.t, args.r, cap=args.max_tuples)
     text = _csv_text(
         [f"u_{i}" for i in range(len(args.r))] + ["load", "optimal"],
         (list(entry.counts) + [entry.load, int(entry.optimal)] for entry in tuples),
     )
-    if args.out:
-        out = Path(args.out)
-        write_text(out, text)
-        _write_manifest(args, [], [out], started)
-        print(f"wrote {out}: {len(tuples)} rosters")
-    else:
+    if not args.out:
         sys.stdout.write(text)
-    return EXIT_OK
+        return []
+    out = Path(args.out)
+    write_text(out, text)
+    print(f"wrote {out}: {len(tuples)} rosters")
+    return [out]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_verify(args: argparse.Namespace) -> list[Path]:
     hcs_set = load_set(args.set)
     report = verification.verify(hcs_set)
     doc = report.to_dict()
@@ -285,20 +246,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for warning in doc["warnings"]:
             print(f"note  {warning}")
         print(("PASS" if report.passed else "FAIL") + f"  {args.set}")
-    if args.out:
-        out = Path(args.out)
+    outputs = [Path(args.out)] if args.out else []
+    for out in outputs:
         write_text(out, dumps_document(doc))
-        _write_manifest(args, [Path(args.set)], [out], started)
     if not report.passed:
         failed = ", ".join(name for name, check in report.gates() if not check.passed)
         raise _Failure(
-            EXIT_VERIFY, "verification-failed", f"{args.set} failed verification: {failed}"
+            EXIT_VERIFY, "verification-failed", f"{args.set} failed verification: {failed}",
+            outputs,
         )
-    return EXIT_OK
+    return outputs
 
 
-def _cmd_sac_trace(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_sac_trace(args: argparse.Namespace) -> list[Path]:
     hcs_set = load_set(args.set)
     script_path = Path(args.script)
     script = read_json(script_path)
@@ -323,12 +283,11 @@ def _cmd_sac_trace(args: argparse.Namespace) -> int:
     write_text(out, dumps_document(trace))
     audit_path = Path(args.audit) if args.audit else Path(str(out) + ".audit.csv")
     write_text(audit_path, _csv_text(["frame", "slot", "user", "level", "sequence"], audit))
-    _write_manifest(args, [Path(args.set), script_path], [out, audit_path], started)
     print(
         f"wrote {out} and {audit_path}: {len(state.events)} events, "
         f"{len(collisions)} collisions"
     )
-    return EXIT_OK
+    return [out, audit_path]
 
 
 def _sim_configs(args: argparse.Namespace) -> list[simulator.SimConfig]:
@@ -357,8 +316,7 @@ def _sim_configs(args: argparse.Namespace) -> list[simulator.SimConfig]:
     ]
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_simulate(args: argparse.Namespace) -> list[Path]:
     (config,) = _sim_configs(args)
     curve = simulator.simulate_ser(config)
     text = _csv_text(
@@ -370,13 +328,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     write_text(out, text)
-    _write_manifest(args, [Path(args.set)] if args.set else [], [out], started)
     print(f"wrote {out}: {len(curve.points)} SNR points, scheme {curve.scheme}")
-    return EXIT_OK
+    return [out]
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_compare(args: argparse.Namespace) -> list[Path]:
     hcs_config, fixed_config = _sim_configs(args)
     report = simulator.compare_schemes(fixed_config, hcs_config)
     text = _csv_text(
@@ -388,16 +344,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     write_text(out, text)
-    _write_manifest(args, [Path(args.set)], [out], started)
     flagged = len(report.flagged)
     print(
         f"wrote {out}: max fixed-minus-hcs delta {report.max_delta:.6f}, "
         f"{flagged} flagged points"
     )
-    return EXIT_OK
+    return [out]
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
+def _cmd_pipeline(args: argparse.Namespace) -> list[Path]:
     path = Path(args.file)
     doc = read_json(path)
     stages = doc.get("stages") if isinstance(doc, dict) else None
@@ -417,7 +372,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
                 failure.kind,
                 f"[stage {number}] failed with exit code {failure.code}: {failure}",
             ) from failure
-    return EXIT_OK
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="slots per frame")
     p.add_argument("--levels", type=_parse_levels, required=True, help="r:u,r:u,...")
     p.add_argument("--seed", type=int, default=None, help="driver seed (default: entropy)")
-    p.add_argument("--drivers", default=None, help="JSON file with injected driver streams")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen1)
 
@@ -513,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(argv: list[str]) -> int:
-    """Parse and run one invocation; raises _Failure when it fails."""
+    """Parse and run one invocation, then write its manifest; raises _Failure if it fails."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit:
@@ -522,8 +476,16 @@ def _run(argv: list[str]) -> int:
     if getattr(args, "seed", 0) is None:
         # an unset --seed of gen1, simulate or compare; the manifest records it
         args.seed = _draw_seed()
+    started = time.monotonic()
+    failure = None
     try:
-        return args.func(args)
+        try:
+            outputs = args.func(args)
+        except _Failure as exc:
+            # a failed verify --out has written its report all the same
+            outputs, failure = exc.outputs, exc
+        if outputs:
+            _write_manifest(args, outputs, started)
     except SchemaError as exc:
         raise _Failure(EXIT_IO, "schema-error", exc) from exc
     except ConfigError as exc:
@@ -538,6 +500,9 @@ def _run(argv: list[str]) -> int:
         raise _Failure(EXIT_IO, "file-not-found", exc) from exc
     except OSError as exc:
         raise _Failure(EXIT_IO, "io-error", exc) from exc
+    if failure is not None:
+        raise failure
+    return EXIT_OK
 
 
 def dispatch(argv: list[str]) -> int:

@@ -97,9 +97,10 @@ def cons2_params(
     for lv in config.levels:
         omega2.append(prefix)
         prefix += lv.r * lv.u
-    if d**n * t > MAX_LENGTH:
+    # d >= 2 doubles the length each round, so a long n fails before d**n is built
+    if (d >= 2 and n >= MAX_LENGTH.bit_length()) or d**n * t > MAX_LENGTH:
         raise ConfigError(
-            f"sequence length d^n*t = {d**n * t} exceeds the {MAX_LENGTH} guard; "
+            f"sequence length d^n*t = {d}^{n}*{t} exceeds the {MAX_LENGTH} guard; "
             f"pick fewer rounds or a smaller-order unit"
         )
     return Cons2Params(g=int(g), d=int(d), n=int(n), omega2=tuple(omega2))
@@ -130,7 +131,8 @@ def construct2(
     a1 = q % params.d
     esum = np.zeros(length, dtype=np.int64)
     qq = q.copy()
-    for _ in range(params.n):
+    # with d = 1 every digit is 0
+    for _ in range(params.n if params.d > 1 else 0):
         esum += qq % params.d
         qq //= params.d
     esum %= params.d

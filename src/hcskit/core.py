@@ -46,9 +46,9 @@ class LevelSpec:
     u: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or self.r < 1:
+        if isinstance(self.r, bool) or not isinstance(self.r, int) or self.r < 1:
             raise ConfigError(f"slots-per-frame must be a positive int, got {self.r!r}")
-        if not isinstance(self.u, int) or self.u < 0:
+        if isinstance(self.u, bool) or not isinstance(self.u, int) or self.u < 0:
             raise ConfigError(f"user count must be a non-negative int, got {self.u!r}")
 
 
@@ -66,7 +66,7 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.t, int) or self.t < 1:
+        if isinstance(self.t, bool) or not isinstance(self.t, int) or self.t < 1:
             raise ConfigError(f"frame size must be a positive int, got {self.t!r}")
         levels = tuple(
             lv if isinstance(lv, LevelSpec) else LevelSpec(*lv) for lv in self.levels
@@ -77,7 +77,7 @@ class SystemConfig:
         values = [lv.r for lv in levels]
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(f"level slot demands must be strictly increasing, got {values}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative int, got {self.seed!r}")
 
     @property
@@ -142,7 +142,7 @@ class HcsSet:
     provenance: dict
 
     def __post_init__(self) -> None:
-        if not isinstance(self.length, int) or self.length < 1:
+        if isinstance(self.length, bool) or not isinstance(self.length, int) or self.length < 1:
             raise ConfigError(f"sequence length must be a positive int, got {self.length!r}")
         seqs = tuple(sorted(self.sequences, key=lambda s: (s.level, s.user)))
         object.__setattr__(self, "sequences", seqs)
@@ -351,10 +351,10 @@ def save_set(hcs_set: HcsSet, path) -> None:
 def read_json(path):
     """The document in a JSON file; SchemaError, naming the path, if it is not one.
 
-    Every JSON input of the toolkit (set files, sac scripts, pipeline plans,
-    driver files) is read here, so they all refuse the same things: malformed
-    JSON, bytes that are not UTF-8, integers beyond Python's digit limit and
-    nesting too deep to parse.
+    Every JSON input of the toolkit (set files, sac scripts, pipeline plans)
+    is read here, so they all refuse the same things: malformed JSON, bytes
+    that are not UTF-8, integers beyond Python's digit limit and nesting too
+    deep to parse.
     """
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -161,3 +161,43 @@ def random_script(gen, hcs_set, frames):
                 else:
                     queues[level].append(user)
     return script
+
+
+def reference_audit(hcs_set, script, alignment="global", sync_delay=0):
+    """Audit rows and collisions of run_script, replayed frame by frame.
+
+    Holdings come from ``shadow_events``: a grant at frame f holds from f on,
+    a release at frame f ends the holding before frame f is audited.  Each
+    frame's rows (frame, slot, user, level, sequence) are sorted by (slot,
+    user); every claim of a slot beyond its first adds (frame, slot) to the
+    collisions, in row order.
+    """
+    events = shadow_events(hcs_set, script)
+    last_frame = max((e["frame"] for e in script), default=-1)
+    held = {}  # user -> (grant frame, level, sequence)
+    audit, collisions = [], []
+    cursor = 0
+    for frame in range(last_frame + 1):
+        while cursor < len(events) and events[cursor][0] == frame:
+            _, kind, user, level, sid = events[cursor]
+            if kind in ("assigned", "granted-from-queue"):
+                held[user] = (frame, level, sid)
+            elif kind == "released":
+                held.pop(user, None)
+            cursor += 1
+        rows = []
+        for user, (granted, level, sid) in held.items():
+            start = granted + sync_delay
+            if frame < start:
+                continue
+            frames = hcs_set.sequences[sid].frames
+            index = (frame if alignment == "global" else frame - start) % len(frames)
+            rows.extend((frame, int(slot), user, level, sid) for slot in frames[index])
+        rows.sort(key=lambda row: (row[1], row[2]))
+        claims = {}
+        for row in rows:
+            claims[row[1]] = claims.get(row[1], 0) + 1
+            if claims[row[1]] > 1:
+                collisions.append((frame, row[1]))
+        audit.extend(rows)
+    return audit, collisions

@@ -144,69 +144,11 @@ class TestGen1:
         assert manifest["parameters"]["seed"] == manifest["seeds"][0]
         assert load_set(out).config.seed == manifest["seeds"][0]
 
-    def test_injected_drivers(self, tmp_path, capsys):
-        drivers = tmp_path / "drivers.json"
-        drivers.write_text(
-            json.dumps({"selector": [0] * 144, "level_base": [[0] * 144] * 3})
-        )
-        out = tmp_path / "set.json"
-        code = dispatch(
-            [
-                "gen1",
-                "--t",
-                "24",
-                "--levels",
-                LEVELS24,
-                "--seed",
-                "0",
-                "--drivers",
-                str(drivers),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-        built = load_set(out)
-        assert built.provenance["params"]["drivers"] == "injected"
-        assert built.sequence(0, 0).frame(0) == (0, 15)
-        assert str(drivers) in read_manifest(out)["inputs"]
-
-    @pytest.mark.parametrize(
-        "path, value",
-        [
-            (("selector", 0), -1),
-            (("selector", 0), 10**30),
-            (("selector", 0), "x"),
-            (("selector", 0), 1.5),
-            (("selector", 0), 0.9),
-            (("selector", 0), 1.0),
-            (("selector", 0), True),
-            (("level_base", 0, 0), 0.9),
-            (("selector",), [[0] * 144]),
-            (("selector",), 5),
-            (("level_base",), [0] * 144),
-        ],
-        ids=["negative", "beyond-uint64", "string", "float", "float-below-one",
-             "integral-float", "bool", "level-base-float", "nested", "not-a-list",
-             "flat-level-base"],
-    )
-    def test_selector_not_uint64_exits_5(self, tmp_path, capsys, path, value):
-        # numpy alone would truncate a float entry, read a bool as 0 or 1 and
-        # accept a nested or a scalar stream
-        doc = {"selector": [0] * 144, "level_base": [[0] * 144 for _ in range(3)]}
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        drivers = tmp_path / "drivers.json"
-        drivers.write_text(json.dumps(doc))
-        out = tmp_path / "set.json"
+    def test_driver_file_is_not_an_option(self, tmp_path, capsys):
         argv = ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "0",
-                "--drivers", str(drivers), "--out", str(out)]
-        err = assert_schema_error(capsys, argv)
-        assert err["message"].startswith(f"{drivers}: driver streams")
-        assert not out.exists()
+                "--drivers", str(tmp_path / "d.json"), "--out", str(tmp_path / "set.json")]
+        err = assert_usage_error(capsys, argv)
+        assert "--drivers" in err["message"]
 
     def test_invalid_config_exits_3(self, tmp_path, capsys):
         code = dispatch(
@@ -237,6 +179,15 @@ class TestGen2:
             "error": "config-error",
             "message": "an explicit exponent modulus d needs an explicit unit g",
         }
+
+    def test_guard_refuses_many_rounds_at_once(self, tmp_path, capsys):
+        # 3**4000000 is never built, nor printed past the int digit limit
+        args = ["gen2", "--t", "8", "--levels", "1:1", "--rounds", "4000000", "--g", "3",
+                "--d", "3", "--out", str(tmp_path / "x.json")]
+        assert dispatch(args) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-error"
+        assert "d^n*t = 3^4000000*8 exceeds" in err["message"]
 
 
 class TestBoundAndEnumerate:
@@ -320,8 +271,12 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         report = tmp_path / "report.json"
         assert dispatch(["verify", str(path), "--out", str(report)]) == 4
-        capsys.readouterr()
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line)["error"] for line in lines] == ["verification-failed"]
         assert json.loads(report.read_text())["passed"] is False
+        manifest = read_manifest(report)
+        assert manifest["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+        assert list(manifest["outputs"]) == [str(report)]
 
     def test_missing_file_exits_5(self, capsys):
         assert dispatch(["verify", "/nonexistent/set.json"]) == 5
@@ -413,7 +368,8 @@ class TestSacTrace:
         frame0 = [r for r in rows[1:] if r[0] == "0"]
         assert [r[2] for r in frame0] == ["A"]
         manifest = read_manifest(out)
-        assert str(audit) in manifest["outputs"]
+        assert list(manifest["outputs"]) == [str(out), str(audit)]
+        assert sorted(manifest["inputs"]) == sorted([str(set_path), str(script)])
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         set_path = tmp_path / "set2.json"
@@ -771,15 +727,12 @@ class TestUnreadableJson:
         if kind == "plan":
             return ["pipeline", str(path)]
         out = str(tmp_path / "out.json")
-        if kind == "drivers":
-            return ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "0",
-                    "--drivers", str(path), "--out", out]
         set_path = tmp_path / "set2.json"
         dispatch(gen2_args(set_path))
         return ["sac-trace", "--set", str(set_path), "--script", str(path), "--out", out]
 
     @pytest.mark.parametrize("payload", sorted(PAYLOADS))
-    @pytest.mark.parametrize("kind", ["set", "script", "plan", "drivers"])
+    @pytest.mark.parametrize("kind", ["set", "script", "plan"])
     def test_exits_5_naming_the_file(self, tmp_path, capsys, kind, payload):
         path = tmp_path / f"{kind}.json"
         path.write_bytes(self.PAYLOADS[payload])

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +202,9 @@ class TestParams:
     def test_length_guard(self, cfg8):
         with pytest.raises(ConfigError, match="guard"):
             cons2_params(cfg8, n=4, g=3, d=100)
+        # 3**4000000 would take seconds to build and cannot be printed
+        with pytest.raises(ConfigError, match=r"d\^n\*t = 3\^4000000\*8 exceeds"):
+            cons2_params(cfg8, n=4_000_000, g=3, d=3)
 
 
 class TestConstruct:
@@ -262,6 +266,14 @@ class TestConstruct:
         built = construct2(cfg, n=1)
         assert verify(built).passed
         assert built.sequence(1, 1).frame(0) == (8, 9, 10, 11)
+
+    def test_unit_order_one_takes_any_round_count(self, cfg8):
+        # with d = 1 every digit is 0, so no round is computed
+        started = time.monotonic()
+        built = construct2(cfg8, n=10**9, g=1)
+        assert built.length == cfg8.t
+        assert verify(built).passed
+        assert time.monotonic() - started < 1.0
 
     def test_rebuild_identical(self, cfg8, set128):
         again = construct2(cfg8, n=2, g=3, d=4)

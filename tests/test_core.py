@@ -72,6 +72,25 @@ class TestConfigTypes:
             LevelSpec(r=2, u=-1)
         assert LevelSpec(r=2, u=0).u == 0
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LevelSpec(r=True, u=1), "slots-per-frame must be"),
+            (lambda: LevelSpec(r=1, u=True), "user count must be"),
+            (lambda: SystemConfig(t=True, levels=((True, True),)), "frame size must be"),
+            (lambda: SystemConfig(t=8, levels=((1, 1),), seed=True), "seed must be"),
+            (
+                lambda: HcsSet(config=SystemConfig(t=8, levels=((1, 0),)), length=True,
+                               sequences=(), provenance={}),
+                "sequence length must be",
+            ),
+        ],
+        ids=["r", "u", "t", "seed", "length"],
+    )
+    def test_bool_is_not_an_int(self, build, message):
+        with pytest.raises(ConfigError, match=message):
+            build()
+
     def test_levels_must_ascend(self):
         with pytest.raises(ConfigError, match="increasing"):
             SystemConfig(t=8, levels=((3, 1), (3, 1)))

@@ -3,7 +3,7 @@ import pytest
 
 from hcskit import ConfigError, HcsSet, SystemConfig, sac
 
-from conftest import random_script, remake_set, shadow_events
+from conftest import random_script, reference_audit, remake_set, shadow_events
 
 
 class TestInit:
@@ -179,6 +179,17 @@ class TestRunScript:
             state, _, _ = sac.run_script(hcs_set, script)
             got = [(e.frame, e.kind, e.user, e.level, e.sequence) for e in state.events]
             assert got == shadow_events(hcs_set, script)
+
+    @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
+    @pytest.mark.parametrize("sync_delay", [0, 3])
+    def test_audit_matches_reference(self, set24, set128, set32, alignment, sync_delay):
+        for hcs_set, seed in ((set24, 21), (set128, 22), (set32, 23)):
+            gen = np.random.default_rng(seed)
+            script = random_script(gen, hcs_set, frames=120)
+            _, audit, collisions = sac.run_script(
+                hcs_set, script, alignment=alignment, sync_delay=sync_delay
+            )
+            assert (audit, collisions) == reference_audit(hcs_set, script, alignment, sync_delay)
 
     def test_fifo_order_on_single_sequence_level(self, set24):
         script = [
