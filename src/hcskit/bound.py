@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import HcsError, SystemConfig
+from .core import ConfigError, HcsError, SystemConfig
 
 
 class EnumerationCapError(HcsError):
@@ -67,13 +67,13 @@ def enumerate_user_counts(
     """
     rv = tuple(int(r) for r in level_values)
     if not rv:
-        raise ValueError("at least one level value is required")
+        raise ConfigError("at least one level value is required")
     if any(r < 1 for r in rv):
-        raise ValueError(f"level values must be positive, got {rv}")
+        raise ConfigError(f"level values must be positive, got {rv}")
     if any(b <= a for a, b in zip(rv, rv[1:])):
-        raise ValueError(f"level values must be strictly increasing, got {rv}")
+        raise ConfigError(f"level values must be strictly increasing, got {rv}")
     if t < 1:
-        raise ValueError(f"frame size must be positive, got {t}")
+        raise ConfigError(f"frame size must be positive, got {t}")
 
     out: list[UserCountTuple] = []
 

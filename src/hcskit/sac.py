@@ -23,6 +23,8 @@ ALIGNMENTS = ("global", "per-user")
 
 # largest audit run_script builds: (last frame + 1) * roster load rows
 MAX_AUDIT_ROWS = 1 << 22
+# rows the audit gathers and sorts in one numpy pass; bounds its scratch memory
+AUDIT_BLOCK_ROWS = 1 << 15
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,6 +37,15 @@ class SacEvent:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _frame_index(frame, join_frame: int, length: int, alignment: str):
+    """Row of a holder's sequence table used in ``frame`` (an int or an array).
+
+    Global alignment indexes by the network frame count, per-user alignment
+    from the holder's first synchronized frame; both wrap after ``length``.
+    """
+    return (frame if alignment == "global" else frame - join_frame) % length
 
 
 class SacState:
@@ -151,11 +162,7 @@ class SacState:
         if frame < join_frame:
             raise ValueError(f"user {user!r} is not synchronized until frame {join_frame}")
         seq = self.hcs_set.sequences[grant.sequence]
-        if self.alignment == "global":
-            index = frame % seq.length
-        else:
-            index = (frame - join_frame) % seq.length
-        return seq.frame(index)
+        return seq.frame(_frame_index(frame, join_frame, seq.length, self.alignment))
 
     # -- snapshots ---------------------------------------------------------
 
@@ -203,6 +210,76 @@ def _check_entry(entry, pos: int) -> None:
         raise ValueError(f"script entry {pos}: a join needs an integer level")
 
 
+def _holdings(state: SacState, end: int) -> list[list]:
+    """[first, stop, user, level, sequence] of every grant in the event log.
+
+    A holding is audited in frames [first, stop): from its grant frame plus
+    the sync delay up to its holder's release with a sequence, or ``end``.
+    Holdings that never synchronize are left out; the rest are sorted by
+    user, so holding order is user order within any one frame.
+    """
+    spans: list[list] = []
+    open_at: dict[str, int] = {}
+    for e in state.events:
+        if e.kind in ("assigned", "granted-from-queue"):
+            open_at[e.user] = len(spans)
+            spans.append([e.frame + state.sync_delay, end, e.user, e.level, e.sequence])
+        elif e.kind == "released" and e.sequence is not None:
+            spans[open_at.pop(e.user)][1] = e.frame
+    return sorted((h for h in spans if h[0] < h[1]), key=lambda h: h[2])
+
+
+def _audit(
+    state: SacState, end: int
+) -> tuple[list[tuple[int, int, str, int, int]], list[tuple[int, int]]]:
+    """Audit rows and collisions of frames [0, end), built block by block.
+
+    Each holding's slots over a block are one gather from its sequence table;
+    one lexsort orders the block's rows by (frame, slot, user), and a row
+    whose (frame, slot) equals the row before it is a collision.
+    """
+    holdings = _holdings(state, end)
+    if not holdings:
+        return [], []
+    begin, until, *_ = zip(*holdings)
+    first, stop = np.array(begin), np.array(until)
+    # object columns: a gather hands back the holding's own str and int objects
+    users, levels, sequences = np.array([h[2:] for h in holdings], dtype=object).T
+    tables = [state.hcs_set.sequences[sid].frames for sid in sequences]
+    block = max(1, AUDIT_BLOCK_ROWS // max(state.hcs_set.config.load, 1))
+    audit: list[tuple[int, int, str, int, int]] = []
+    collisions: list[tuple[int, int]] = []
+    for lo in range(int(first.min()), int(stop.max()), block):
+        hi = lo + block
+        parts_frame, parts_slot, parts_holding = [], [], []
+        for k in np.flatnonzero((first < hi) & (stop > lo)).tolist():
+            frames = np.arange(max(begin[k], lo), min(until[k], hi))
+            table = tables[k]
+            slots = table[_frame_index(frames, begin[k], len(table), state.alignment)]
+            parts_frame.append(np.repeat(frames, table.shape[1]))
+            parts_slot.append(slots.ravel())
+            parts_holding.append(np.full(slots.size, k))
+        if not parts_frame:
+            continue
+        frame = np.concatenate(parts_frame)
+        slot = np.concatenate(parts_slot)
+        holding = np.concatenate(parts_holding)
+        order = np.lexsort((holding, slot, frame))
+        frame, slot, holding = frame[order], slot[order], holding[order]
+        # one int object per frame, shared by all of that frame's rows
+        frame_ints = np.arange(lo, hi).astype(object)
+        audit.extend(zip(
+            frame_ints[frame - lo].tolist(),
+            slot.tolist(),
+            users[holding].tolist(),
+            levels[holding].tolist(),
+            sequences[holding].tolist(),
+        ))
+        dup = np.flatnonzero((frame[1:] == frame[:-1]) & (slot[1:] == slot[:-1])) + 1
+        collisions.extend(zip(frame[dup].tolist(), slot[dup].tolist()))
+    return audit, collisions
+
+
 def run_script(
     hcs_set: HcsSet,
     script: list[dict],
@@ -215,11 +292,15 @@ def run_script(
     Script entries are {"frame": f, "action": "join"|"leave", "user": name,
     "level": i (join only)}; entries are applied in (frame, script order).
     Returns the final state, audit rows (frame, slot, user, level, sequence)
-    for every synchronized user in frames 0..max scripted frame, and the
-    (frame, slot) pairs claimed more than once.  A malformed entry raises
-    ValueError with its script position before any entry is applied, and a
-    script whose audit could exceed MAX_AUDIT_ROWS rows raises ValueError
-    before the allocator is built.
+    for every synchronized user in frames 0..max scripted frame, sorted by
+    (frame, slot, user), and the (frame, slot) pairs claimed more than once.
+    The audit is built per holding once every entry is applied: a grant holds
+    from its frame plus the sync delay until its holder leaves, and its rows
+    are gathered from its sequence table with numpy, AUDIT_BLOCK_ROWS rows at
+    a time, so frames where nothing changes cost no Python loop.  A malformed
+    entry raises ValueError with its script position before any entry is
+    applied, and a script whose audit could exceed MAX_AUDIT_ROWS rows raises
+    ValueError before the allocator is built.
     """
     entries = []
     for pos, entry in enumerate(script):
@@ -227,7 +308,6 @@ def run_script(
         entries.append((int(entry["frame"]), pos, entry))
     entries.sort(key=lambda e: (e[0], e[1]))
     last_frame = entries[-1][0] if entries else -1
-    # an empty roster audits no rows but still walks every frame
     if (last_frame + 1) * max(hcs_set.config.load, 1) > MAX_AUDIT_ROWS:
         raise ValueError(
             f"script reaches frame {last_frame}: an audit of {last_frame + 1} frames "
@@ -236,29 +316,10 @@ def run_script(
     state = init(
         hcs_set, alignment=alignment, sync_delay=sync_delay, assign_seed=assign_seed
     )
-
-    audit: list[tuple[int, int, str, int, int]] = []
-    collisions: list[tuple[int, int]] = []
-    cursor = 0
-    for frame in range(last_frame + 1):
-        while cursor < len(entries) and entries[cursor][0] == frame:
-            entry = entries[cursor][2]
-            if entry["action"] == "join":
-                state.request_access(entry["user"], int(entry["level"]), frame)
-            else:
-                state.release(entry["user"], frame)
-            cursor += 1
-        rows = []
-        for user, grant in state.assignments.items():
-            if grant.frame + state.sync_delay > frame:
-                continue
-            for slot in state.slots_for(user, frame):
-                rows.append((frame, slot, user, grant.level, grant.sequence))
-        rows.sort(key=lambda row: (row[1], row[2]))
-        seen: dict[int, str] = {}
-        for row in rows:
-            if row[1] in seen:
-                collisions.append((frame, row[1]))
-            seen[row[1]] = row[2]
-        audit.extend(rows)
+    for frame, _, entry in entries:
+        if entry["action"] == "join":
+            state.request_access(entry["user"], int(entry["level"]), frame)
+        else:
+            state.release(entry["user"], frame)
+    audit, collisions = _audit(state, last_frame + 1)
     return state, audit, collisions

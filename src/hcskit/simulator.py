@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import rng
-from .core import HcsSet
+from .core import ConfigError, HcsSet
 
 
 class _CycledScheme:
@@ -38,9 +38,9 @@ class FixedScheme(_CycledScheme):
         slots = tuple(int(s) for s in self.slots)
         object.__setattr__(self, "slots", slots)
         if not slots:
-            raise ValueError("a scheme must use at least one slot per frame")
+            raise ConfigError("a scheme must use at least one slot per frame")
         if len(set(slots)) != len(slots):
-            raise ValueError(f"fixed slots must be distinct, got {slots}")
+            raise ConfigError(f"fixed slots must be distinct, got {slots}")
 
     @property
     def label(self) -> str:
@@ -48,7 +48,7 @@ class FixedScheme(_CycledScheme):
 
     def validate(self, t: int) -> None:
         if any(not 0 <= s < t for s in self.slots):
-            raise ValueError(f"fixed slots must lie in [0, {t}), got {self.slots}")
+            raise ConfigError(f"fixed slots must lie in [0, {t}), got {self.slots}")
 
     def cycle_slots(self) -> np.ndarray:
         """Slot table of one cycle: a single frame."""
@@ -72,7 +72,7 @@ class HcsScheme(_CycledScheme):
         try:
             return self.hcs_set.sequence(level, self.user)
         except KeyError as exc:
-            raise ValueError(str(exc)) from exc
+            raise ConfigError(str(exc)) from exc
 
     @property
     def label(self) -> str:
@@ -81,7 +81,7 @@ class HcsScheme(_CycledScheme):
 
     def validate(self, t: int) -> None:
         if self.hcs_set.t != t:
-            raise ValueError(
+            raise ConfigError(
                 f"sequence set is built for {self.hcs_set.t} slots, simulation uses {t}"
             )
         self._sequence()
@@ -120,15 +120,15 @@ class SimConfig:
             self, "interference_slots", tuple(int(s) for s in self.interference_slots)
         )
         if self.t < 1:
-            raise ValueError(f"frame size must be positive, got {self.t}")
+            raise ConfigError(f"frame size must be positive, got {self.t}")
         if not self.snr_db:
-            raise ValueError("at least one SNR point is required")
+            raise ConfigError("at least one SNR point is required")
         if self.symbols_per_slot < 1 or self.frames < 1:
-            raise ValueError("symbols per slot and frame count must be positive")
+            raise ConfigError("symbols per slot and frame count must be positive")
         if len(set(self.interference_slots)) != len(self.interference_slots):
-            raise ValueError("interference slots must be distinct")
+            raise ConfigError("interference slots must be distinct")
         if any(not 0 <= s < self.t for s in self.interference_slots):
-            raise ValueError(f"interference slots must lie in [0, {self.t})")
+            raise ConfigError(f"interference slots must lie in [0, {self.t})")
         self.scheme.validate(self.t)
 
 
@@ -162,7 +162,7 @@ def interference_hit_fraction(
 ) -> float:
     """Fraction of transmitted slots that fall on interfered slot numbers."""
     if frames < 1:
-        raise ValueError(f"frame count must be positive, got {frames}")
+        raise ConfigError(f"frame count must be positive, got {frames}")
     if t is not None:
         scheme.validate(t)
     hit, sent = _exposure(scheme, interference_slots, frames)
@@ -244,7 +244,7 @@ def compare_schemes(config_a: SimConfig, config_b: SimConfig) -> ComparisonRepor
         "frames",
     ):
         if getattr(config_a, name) != getattr(config_b, name):
-            raise ValueError(f"scenario mismatch between schemes: {name} differs")
+            raise ConfigError(f"scenario mismatch between schemes: {name} differs")
     curve_a = simulate_ser(config_a)
     curve_b = simulate_ser(config_b)
     rows = []

@@ -55,6 +55,16 @@ def assert_usage_error(capsys, argv):
     return err
 
 
+def assert_config_error(capsys, argv):
+    """Exit 3 with exactly one JSON line, a config-error, on stderr."""
+    assert dispatch(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config-error"
+    return err
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         err = assert_usage_error(capsys, [])
@@ -226,6 +236,20 @@ class TestBoundAndEnumerate:
         code = dispatch(["enumerate", "--t", "100", "--r", "1,2", "--max-tuples", "5"])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "enumeration-cap"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--t", "0", "--r", "1"], "frame size must be positive, got 0"),
+            (["--t", "24", "--r", ""], "at least one level value is required"),
+        ],
+        ids=["zero-t", "no-levels"],
+    )
+    def test_enumerate_bad_input_is_config_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "lattice.csv"
+        err = assert_config_error(capsys, ["enumerate", *args, "--out", str(out)])
+        assert err["message"] == message
+        assert not out.exists()
 
 
 class TestVerify:
@@ -542,6 +566,22 @@ class TestSimulateAndCompare:
         )
         assert code == 3
         assert "--t is required" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--fixed", "0", "--t", "0"], "frame size must be positive, got 0"),
+            (["--fixed", "", "--t", "8"], "a scheme must use at least one slot per frame"),
+            (["--fixed", "0", "--t", "8", "--frames", "0"],
+             "symbols per slot and frame count must be positive"),
+        ],
+        ids=["zero-t", "no-slots", "zero-frames"],
+    )
+    def test_simulate_bad_input_is_config_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "curve.csv"
+        err = assert_config_error(capsys, ["simulate", *args, "--snr", "5", "--out", str(out)])
+        assert err["message"] == message
+        assert not out.exists()
 
     def test_compare_writes_rows(self, tmp_path, capsys):
         set_path = tmp_path / "set2.json"

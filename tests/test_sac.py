@@ -261,3 +261,74 @@ class TestRunScript:
         _, audit, _ = sac.run_script(set128, script, sync_delay=2)
         frames_seen = sorted({row[0] for row in audit})
         assert frames_seen == [2]
+
+    @pytest.mark.parametrize("alignment, sync_delay", [("global", 0), ("per-user", 2)])
+    def test_long_quiet_span_is_the_table_repeated(self, set24, alignment, sync_delay):
+        length = set24.length
+        leave = 3 * length + 5
+        script = [
+            {"frame": 0, "action": "join", "user": "A", "level": 1},
+            {"frame": leave, "action": "leave", "user": "A"},
+        ]
+        _, audit, collisions = sac.run_script(
+            set24, script, alignment=alignment, sync_delay=sync_delay
+        )
+        assert collisions == []
+        table = set24.sequences[3].frames
+        frames = np.arange(sync_delay, leave)
+        if alignment == "global":
+            rows = np.tile(table, (4, 1))[sync_delay:leave]
+        else:
+            rows = np.tile(table, (4, 1))[: leave - sync_delay]
+        want = [
+            (int(f), int(slot), "A", 1, 3)
+            for f, row in zip(frames, np.sort(rows, axis=1))
+            for slot in row
+        ]
+        assert audit == want
+
+    def test_audit_holds_plain_values(self, set24):
+        gen = np.random.default_rng(31)
+        script = random_script(gen, set24, frames=200)
+        _, audit, collisions = sac.run_script(set24, script, alignment="per-user")
+        assert audit and collisions
+        for row in audit:
+            assert [type(v) for v in row] == [int, int, str, int, int]
+        for pair in collisions:
+            assert [type(v) for v in pair] == [int, int]
+
+    @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
+    @pytest.mark.parametrize("sync_delay", [0, 3])
+    def test_seeded_audit_matches_slot_lookup(self, set24, set128, alignment, sync_delay):
+        # reference_audit models only the lowest-id policy; replay the seeded
+        # run's own grants and releases frame by frame through slots_for
+        for hcs_set, seed in ((set24, 41), (set128, 42)):
+            gen = np.random.default_rng(seed)
+            script = random_script(gen, hcs_set, frames=150)
+            state, audit, collisions = sac.run_script(
+                hcs_set, script, alignment=alignment, sync_delay=sync_delay, assign_seed=7
+            )
+            replay = sac.SacState(hcs_set, alignment=alignment, sync_delay=sync_delay)
+            last_frame = max(e["frame"] for e in script)
+            events = iter(state.events)
+            event = next(events, None)
+            want, want_collisions = [], []
+            for frame in range(last_frame + 1):
+                while event is not None and event.frame == frame:
+                    if event.kind in ("assigned", "granted-from-queue"):
+                        replay.assignments[event.user] = event
+                    elif event.kind == "released" and event.sequence is not None:
+                        del replay.assignments[event.user]
+                    event = next(events, None)
+                rows = [
+                    (frame, slot, user, grant.level, grant.sequence)
+                    for user, grant in replay.assignments.items()
+                    if grant.frame + sync_delay <= frame
+                    for slot in replay.slots_for(user, frame)
+                ]
+                rows.sort(key=lambda row: (row[1], row[2]))
+                want_collisions += [
+                    (frame, b[1]) for a, b in zip(rows, rows[1:]) if a[1] == b[1]
+                ]
+                want += rows
+            assert (audit, collisions) == (want, want_collisions)
