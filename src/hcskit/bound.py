@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ConfigError, HcsError, SystemConfig
+from .core import ConfigError, HcsError, SystemConfig, check_int
 
 
 class EnumerationCapError(HcsError):
@@ -60,20 +60,19 @@ def enumerate_user_counts(
 ) -> list[UserCountTuple]:
     """All user-count tuples fitting in t slots, in lexicographic order.
 
-    level_values are the per-level slot demands (strictly increasing).  Every
-    tuple of non-negative counts u with sum(r_i * u_i) <= t is emitted, the
+    level_values are the per-level slot demands (positive ints, strictly
+    increasing); t is a positive int and cap an int >= 0.  Every tuple of
+    non-negative counts u with sum(r_i * u_i) <= t is emitted, the
     capacity-exact ones flagged optimal.  Raises EnumerationCapError once more
     than ``cap`` tuples would be produced.
     """
-    rv = tuple(int(r) for r in level_values)
+    rv = tuple(check_int(r, "level value", positive=True) for r in level_values)
     if not rv:
         raise ConfigError("at least one level value is required")
-    if any(r < 1 for r in rv):
-        raise ConfigError(f"level values must be positive, got {rv}")
     if any(b <= a for a, b in zip(rv, rv[1:])):
         raise ConfigError(f"level values must be strictly increasing, got {rv}")
-    if t < 1:
-        raise ConfigError(f"frame size must be positive, got {t}")
+    check_int(t, "frame size", positive=True)
+    check_int(cap, "tuple cap")
 
     out: list[UserCountTuple] = []
 

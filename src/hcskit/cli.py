@@ -43,7 +43,6 @@ from pathlib import Path
 from . import __version__, bound, construction1, construction2, sac, simulator, verification
 from .core import (
     ConfigError,
-    HcsError,
     SchemaError,
     SystemConfig,
     dumps_document,
@@ -172,8 +171,6 @@ def _echo(args: argparse.Namespace) -> dict:
             continue
         if isinstance(value, tuple):
             value = list(value)
-        elif isinstance(value, Path):
-            value = str(value)
         out[key] = value
     return out
 
@@ -492,8 +489,6 @@ def _run(argv: list[str]) -> int:
         raise _Failure(EXIT_CONFIG, "config-error", exc) from exc
     except bound.EnumerationCapError as exc:
         raise _Failure(EXIT_CONFIG, "enumeration-cap", exc) from exc
-    except HcsError as exc:
-        raise _Failure(EXIT_CONFIG, "error", exc) from exc
     except ValueError as exc:
         raise _Failure(EXIT_CONFIG, "value-error", exc) from exc
     except FileNotFoundError as exc:

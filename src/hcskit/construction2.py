@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, HcsSequence, HcsSet, SystemConfig
+from .core import ConfigError, HcsSequence, HcsSet, SystemConfig, check_int
 
 # guard against accidental huge d^n * t allocations
 MAX_LENGTH = 20_000_000
@@ -76,8 +76,7 @@ def cons2_params(
     t = config.t
     if t < 2:
         raise ConfigError(f"frame size must be at least 2, got {t}")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"round count must be a positive int, got {n!r}")
+    check_int(n, "round count", positive=True)
     if config.load > t:
         raise ConfigError(
             f"roster claims {config.load} slots per frame but the frame has only {t}"
@@ -90,8 +89,8 @@ def cons2_params(
         raise ConfigError(f"{g} is not a unit modulo {t}")
     elif d is None:
         d = multiplicative_order(g, t)
-    elif d < 1:
-        raise ConfigError(f"exponent modulus must be positive, got {d}")
+    else:
+        check_int(d, "exponent modulus", positive=True)
     omega2 = []
     prefix = 0
     for lv in config.levels:
@@ -103,7 +102,7 @@ def cons2_params(
             f"sequence length d^n*t = {d}^{n}*{t} exceeds the {MAX_LENGTH} guard; "
             f"pick fewer rounds or a smaller-order unit"
         )
-    return Cons2Params(g=int(g), d=int(d), n=int(n), omega2=tuple(omega2))
+    return Cons2Params(g=int(g), d=d, n=n, omega2=tuple(omega2))
 
 
 def construct2(

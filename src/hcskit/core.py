@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -38,6 +39,20 @@ class SchemaError(HcsError, ValueError):
     """A sequence-set document does not match the interchange schema."""
 
 
+def check_int(
+    value, what: str, positive: bool = False, error: type[Exception] = ConfigError
+) -> int:
+    """``value`` itself if it is an int, not a bool, and >= 0 (>= 1 if positive).
+
+    The toolkit's integer inputs are all checked here, so an input such as
+    1.7, "2" or True is refused with ``error`` instead of being coerced.
+    """
+    if isinstance(value, int) and not isinstance(value, bool) and value >= int(positive):
+        return value
+    kind = "a positive" if positive else "a non-negative"
+    raise error(f"{what} must be {kind} int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LevelSpec:
     """One access level: each of ``u`` users claims ``r`` slots per frame."""
@@ -46,10 +61,8 @@ class LevelSpec:
     u: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.r, bool) or not isinstance(self.r, int) or self.r < 1:
-            raise ConfigError(f"slots-per-frame must be a positive int, got {self.r!r}")
-        if isinstance(self.u, bool) or not isinstance(self.u, int) or self.u < 0:
-            raise ConfigError(f"user count must be a non-negative int, got {self.u!r}")
+        check_int(self.r, "slots-per-frame", positive=True)
+        check_int(self.u, "user count")
 
 
 @dataclass(frozen=True)
@@ -66,8 +79,7 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.t, bool) or not isinstance(self.t, int) or self.t < 1:
-            raise ConfigError(f"frame size must be a positive int, got {self.t!r}")
+        check_int(self.t, "frame size", positive=True)
         levels = tuple(
             lv if isinstance(lv, LevelSpec) else LevelSpec(*lv) for lv in self.levels
         )
@@ -77,8 +89,7 @@ class SystemConfig:
         values = [lv.r for lv in levels]
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(f"level slot demands must be strictly increasing, got {values}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative int, got {self.seed!r}")
+        check_int(self.seed, "seed")
 
     @property
     def num_levels(self) -> int:
@@ -100,14 +111,19 @@ class SystemConfig:
 
 @dataclass(frozen=True, eq=False)
 class HcsSequence:
-    """One user's slot schedule: an (l, r) array, row per frame."""
+    """One user's slot schedule: an (l, r) integer array, row per frame."""
 
     level: int
     user: int
     frames: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.frames, dtype=np.int64))
+        check_int(self.level, "sequence level")
+        check_int(self.user, "sequence user")
+        arr = np.asarray(self.frames)
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ConfigError(f"frames must be an integer array, got dtype {arr.dtype}")
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
         if arr.ndim != 2:
             raise ConfigError(f"frames must be a 2-D array, got shape {arr.shape}")
         arr.setflags(write=False)
@@ -142,8 +158,7 @@ class HcsSet:
     provenance: dict
 
     def __post_init__(self) -> None:
-        if isinstance(self.length, bool) or not isinstance(self.length, int) or self.length < 1:
-            raise ConfigError(f"sequence length must be a positive int, got {self.length!r}")
+        check_int(self.length, "sequence length", positive=True)
         seqs = tuple(sorted(self.sequences, key=lambda s: (s.level, s.user)))
         object.__setattr__(self, "sequences", seqs)
         cfg = self.config
@@ -231,30 +246,26 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _as_int(value, where: str, minimum: int | None = None) -> int:
-    is_int = isinstance(value, int) and not isinstance(value, bool)
-    if not is_int or (minimum is not None and value < minimum):
-        least = "" if minimum is None else f" >= {minimum}"
-        raise SchemaError(f"{where}: expected an integer{least}, got {value!r}")
-    return value
+_schema_int = partial(check_int, error=SchemaError)
 
 
 def from_document(doc) -> HcsSet:
     """Parse an interchange document; raises SchemaError naming the bad spot.
 
     Structural validity only: counts, shapes, and types are enforced here
-    (slots must fit in int64, a c2 set's params d and n must be ints >= 0,
-    and so must a seed, if present), while semantic slot properties (range,
-    collisions, occupancy) are the verification module's job so that
-    corrupted-but-well-formed sets can be loaded and then diagnosed.
+    (integer keys follow ``check_int``: t, lambda, each r and length must be
+    ints >= 1, the rest, a c2 set's params d and n and a seed if present
+    included, ints >= 0; slots must fit in int64), while semantic slot
+    properties (range, collisions, occupancy) are the verification module's
+    job so that corrupted-but-well-formed sets can be loaded and diagnosed.
     """
     if not isinstance(doc, dict):
         raise SchemaError(f"document root: expected an object, got {type(doc).__name__}")
-    version = _as_int(_need(doc, "format_version", "document root"), "format_version")
+    version = _schema_int(_need(doc, "format_version", "document root"), "format_version")
     if version != FORMAT_VERSION:
         raise SchemaError(f"format_version: expected {FORMAT_VERSION}, got {version}")
-    t = _as_int(_need(doc, "t", "document root"), "t")
-    lam = _as_int(_need(doc, "lambda", "document root"), "lambda")
+    t = _schema_int(_need(doc, "t", "document root"), "t", positive=True)
+    lam = _schema_int(_need(doc, "lambda", "document root"), "lambda", positive=True)
     raw_levels = _need(doc, "levels", "document root")
     if not isinstance(raw_levels, list) or not raw_levels:
         raise SchemaError("levels: expected a non-empty array")
@@ -266,11 +277,11 @@ def from_document(doc) -> HcsSet:
             raise SchemaError(f"levels[{i}]: expected an object")
         levels.append(
             (
-                _as_int(_need(entry, "r", f"levels[{i}]"), f"levels[{i}].r"),
-                _as_int(_need(entry, "u", f"levels[{i}]"), f"levels[{i}].u"),
+                _schema_int(_need(entry, "r", f"levels[{i}]"), f"levels[{i}].r", positive=True),
+                _schema_int(_need(entry, "u", f"levels[{i}]"), f"levels[{i}].u"),
             )
         )
-    length = _as_int(_need(doc, "length", "document root"), "length")
+    length = _schema_int(_need(doc, "length", "document root"), "length", positive=True)
     construction = _need(doc, "construction", "document root")
     if not isinstance(construction, dict):
         raise SchemaError("construction: expected an object")
@@ -283,8 +294,8 @@ def from_document(doc) -> HcsSet:
     if kind == "c2":
         # verify reads each run's slot visits d**n off these two
         for key in ("d", "n"):
-            _as_int(params.get(key), f"construction.params.{key}", minimum=0)
-    seed = _as_int(params.get("seed", 0), "construction.params.seed", minimum=0)
+            _schema_int(params.get(key), f"construction.params.{key}")
+    seed = _schema_int(params.get("seed", 0), "construction.params.seed")
     try:
         config = SystemConfig(t=t, levels=tuple(levels), seed=seed)
     except ConfigError as exc:
@@ -302,8 +313,8 @@ def from_document(doc) -> HcsSet:
         where = f"sequences[{si}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: expected an object")
-        level = _as_int(_need(entry, "level", where), f"{where}.level")
-        user = _as_int(_need(entry, "user", where), f"{where}.user")
+        level = _schema_int(_need(entry, "level", where), f"{where}.level")
+        user = _schema_int(_need(entry, "user", where), f"{where}.user")
         if not 0 <= level < config.num_levels:
             raise SchemaError(f"{where}.level: {level} out of range for {config.num_levels} levels")
         if not 0 <= user < config.levels[level].u:

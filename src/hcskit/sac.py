@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import numbers
 from collections import deque
 
 import numpy as np
 
-from .core import ConfigError, HcsSet
+from .core import ConfigError, HcsSet, check_int
 
 ALIGNMENTS = ("global", "per-user")
 
@@ -60,8 +59,7 @@ class SacState:
     ):
         if alignment not in ALIGNMENTS:
             raise ConfigError(f"unknown alignment {alignment!r}, expected one of {ALIGNMENTS}")
-        if sync_delay < 0:
-            raise ConfigError(f"sync delay must be non-negative, got {sync_delay}")
+        check_int(sync_delay, "sync delay")
         self.hcs_set = hcs_set
         self.alignment = alignment
         self.sync_delay = sync_delay
@@ -80,7 +78,7 @@ class SacState:
             self._rng = None
             self.policy = "lowest-id"
         else:
-            self._rng = np.random.default_rng(assign_seed)
+            self._rng = np.random.default_rng(check_int(assign_seed, "assign seed"))
             self.policy = f"seeded-random:{assign_seed}"
 
     # -- internals ---------------------------------------------------------
@@ -191,23 +189,17 @@ def init(
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _check_entry(entry, pos: int) -> None:
     if not isinstance(entry, dict):
         raise ValueError(f"script entry {pos}: expected an object, got {entry!r}")
-    frame = entry.get("frame")
-    if not _is_int(frame) or frame < 0:
-        raise ValueError(f"script entry {pos}: frame must be an integer >= 0, got {frame!r}")
+    check_int(entry.get("frame"), f"script entry {pos}: frame", error=ValueError)
     action = entry.get("action")
     if action not in ("join", "leave"):
         raise ValueError(f"script entry {pos}: unknown action {action!r}")
     if not isinstance(entry.get("user"), str):
         raise ValueError(f"script entry {pos}: user must be a name, got {entry.get('user')!r}")
-    if action == "join" and not _is_int(entry.get("level")):
-        raise ValueError(f"script entry {pos}: a join needs an integer level")
+    if action == "join":
+        check_int(entry.get("level"), f"script entry {pos}: level", error=ValueError)
 
 
 def _holdings(state: SacState, end: int) -> list[list]:
@@ -246,7 +238,7 @@ def _audit(
     # object columns: a gather hands back the holding's own str and int objects
     users, levels, sequences = np.array([h[2:] for h in holdings], dtype=object).T
     tables = [state.hcs_set.sequences[sid].frames for sid in sequences]
-    block = max(1, AUDIT_BLOCK_ROWS // max(state.hcs_set.config.load, 1))
+    block = max(1, AUDIT_BLOCK_ROWS // state.hcs_set.config.load)
     audit: list[tuple[int, int, str, int, int]] = []
     collisions: list[tuple[int, int]] = []
     for lo in range(int(first.min()), int(stop.max()), block):
@@ -298,17 +290,18 @@ def run_script(
     from its frame plus the sync delay until its holder leaves, and its rows
     are gathered from its sequence table with numpy, AUDIT_BLOCK_ROWS rows at
     a time, so frames where nothing changes cost no Python loop.  A malformed
-    entry raises ValueError with its script position before any entry is
-    applied, and a script whose audit could exceed MAX_AUDIT_ROWS rows raises
-    ValueError before the allocator is built.
+    entry, one whose frame or join level is not an int >= 0 included, raises
+    ValueError with its script position before any entry is applied, and a
+    script whose audit could exceed MAX_AUDIT_ROWS rows raises ValueError
+    before the allocator is built.
     """
     entries = []
     for pos, entry in enumerate(script):
         _check_entry(entry, pos)
-        entries.append((int(entry["frame"]), pos, entry))
+        entries.append((entry["frame"], pos, entry))
     entries.sort(key=lambda e: (e[0], e[1]))
     last_frame = entries[-1][0] if entries else -1
-    if (last_frame + 1) * max(hcs_set.config.load, 1) > MAX_AUDIT_ROWS:
+    if (last_frame + 1) * hcs_set.config.load > MAX_AUDIT_ROWS:
         raise ValueError(
             f"script reaches frame {last_frame}: an audit of {last_frame + 1} frames "
             f"at load {hcs_set.config.load} exceeds {MAX_AUDIT_ROWS} rows"
@@ -318,7 +311,7 @@ def run_script(
     )
     for frame, _, entry in entries:
         if entry["action"] == "join":
-            state.request_access(entry["user"], int(entry["level"]), frame)
+            state.request_access(entry["user"], entry["level"], frame)
         else:
             state.release(entry["user"], frame)
     audit, collisions = _audit(state, last_frame + 1)

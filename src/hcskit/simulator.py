@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import rng
-from .core import ConfigError, HcsSet
+from .core import ConfigError, HcsSet, check_int
 
 
 class _CycledScheme:
@@ -35,7 +35,7 @@ class FixedScheme(_CycledScheme):
     slots: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        slots = tuple(int(s) for s in self.slots)
+        slots = tuple(check_int(s, "fixed slot") for s in self.slots)
         object.__setattr__(self, "slots", slots)
         if not slots:
             raise ConfigError("a scheme must use at least one slot per frame")
@@ -116,15 +116,14 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
-        object.__setattr__(
-            self, "interference_slots", tuple(int(s) for s in self.interference_slots)
-        )
-        if self.t < 1:
-            raise ConfigError(f"frame size must be positive, got {self.t}")
+        slots = tuple(check_int(s, "interference slot") for s in self.interference_slots)
+        object.__setattr__(self, "interference_slots", slots)
+        check_int(self.t, "frame size", positive=True)
         if not self.snr_db:
             raise ConfigError("at least one SNR point is required")
-        if self.symbols_per_slot < 1 or self.frames < 1:
-            raise ConfigError("symbols per slot and frame count must be positive")
+        check_int(self.symbols_per_slot, "symbols per slot", positive=True)
+        check_int(self.frames, "frame count", positive=True)
+        check_int(self.seed, "seed")
         if len(set(self.interference_slots)) != len(self.interference_slots):
             raise ConfigError("interference slots must be distinct")
         if any(not 0 <= s < self.t for s in self.interference_slots):
@@ -161,8 +160,7 @@ def interference_hit_fraction(
     scheme: Scheme, interference_slots: Sequence[int], frames: int, t: int | None = None
 ) -> float:
     """Fraction of transmitted slots that fall on interfered slot numbers."""
-    if frames < 1:
-        raise ConfigError(f"frame count must be positive, got {frames}")
+    check_int(frames, "frame count", positive=True)
     if t is not None:
         scheme.validate(t)
     hit, sent = _exposure(scheme, interference_slots, frames)

@@ -240,7 +240,7 @@ class TestBoundAndEnumerate:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["--t", "0", "--r", "1"], "frame size must be positive, got 0"),
+            (["--t", "0", "--r", "1"], "frame size must be a positive int, got 0"),
             (["--t", "24", "--r", ""], "at least one level value is required"),
         ],
         ids=["zero-t", "no-levels"],
@@ -427,14 +427,14 @@ class TestSacTrace:
     @pytest.mark.parametrize(
         "entry, reason",
         [
-            ({"action": "join", "user": "B", "level": 0}, "frame must be an integer >= 0"),
-            ({"frame": -1, "action": "leave", "user": "A"}, "frame must be an integer >= 0"),
-            ({"frame": "2", "action": "leave", "user": "A"}, "frame must be an integer >= 0"),
-            ({"frame": 2.5, "action": "leave", "user": "A"}, "frame must be an integer >= 0"),
+            ({"action": "join", "user": "B", "level": 0}, "frame must be a non-negative int"),
+            ({"frame": -1, "action": "leave", "user": "A"}, "frame must be a non-negative int"),
+            ({"frame": "2", "action": "leave", "user": "A"}, "frame must be a non-negative int"),
+            ({"frame": 2.5, "action": "leave", "user": "A"}, "frame must be a non-negative int"),
             ({"frame": 2, "action": "leave"}, "user must be a name"),
             ({"frame": 2, "action": "join", "user": ["B"], "level": 0}, "user must be a name"),
-            ({"frame": 2, "action": "join", "user": "B"}, "a join needs an integer level"),
-            ({"frame": 2, "action": "join", "user": "B", "level": None}, "a join needs an integer level"),
+            ({"frame": 2, "action": "join", "user": "B"}, "level must be a non-negative int"),
+            ({"frame": 2, "action": "join", "user": "B", "level": None}, "level must be a non-negative int"),
             ([2, "join", "B"], "expected an object"),
         ],
     )
@@ -570,10 +570,10 @@ class TestSimulateAndCompare:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["--fixed", "0", "--t", "0"], "frame size must be positive, got 0"),
+            (["--fixed", "0", "--t", "0"], "frame size must be a positive int, got 0"),
             (["--fixed", "", "--t", "8"], "a scheme must use at least one slot per frame"),
             (["--fixed", "0", "--t", "8", "--frames", "0"],
-             "symbols per slot and frame count must be positive"),
+             "frame count must be a positive int, got 0"),
         ],
         ids=["zero-t", "no-slots", "zero-frames"],
     )

@@ -5,17 +5,24 @@ import pytest
 
 from hcskit import (
     ConfigError,
+    FixedScheme,
     HcsSequence,
     HcsSet,
     LevelSpec,
+    SacState,
     SchemaError,
+    SimConfig,
     SystemConfig,
+    enumerate_user_counts,
     from_document,
     hamming_correlation,
+    interference_hit_fraction,
     load_set,
+    run_script,
     save_set,
     to_document,
 )
+from hcskit.construction2 import cons2_params
 
 from conftest import subsequences
 
@@ -64,6 +71,123 @@ class TestHammingCorrelation:
             hamming_correlation([], [])
 
 
+def _doc_with(hcs_set, edit):
+    doc = to_document(hcs_set)
+    edit(doc)
+    return from_document(doc)
+
+
+def _sim(**kw):
+    return SimConfig(**{"t": 8, "scheme": FixedScheme((0,)), "snr_db": (0.0,), **kw})
+
+
+# every integer input: site -> (name in the message, >= 1?, error, build(set128, value))
+INT_SITES = {
+    "LevelSpec.r": ("slots-per-frame", True, ConfigError, lambda s, v: LevelSpec(r=v, u=1)),
+    "LevelSpec.u": ("user count", False, ConfigError, lambda s, v: LevelSpec(r=1, u=v)),
+    "SystemConfig.t": (
+        "frame size", True, ConfigError, lambda s, v: SystemConfig(t=v, levels=((1, 1),))
+    ),
+    "SystemConfig.seed": (
+        "seed", False, ConfigError, lambda s, v: SystemConfig(t=8, levels=((1, 1),), seed=v)
+    ),
+    "HcsSet.length": (
+        "sequence length", True, ConfigError,
+        lambda s, v: HcsSet(config=s.config, length=v, sequences=(), provenance={}),
+    ),
+    "HcsSequence.level": (
+        "sequence level", False, ConfigError,
+        lambda s, v: HcsSequence(level=v, user=0, frames=[[0]]),
+    ),
+    "HcsSequence.user": (
+        "sequence user", False, ConfigError,
+        lambda s, v: HcsSequence(level=0, user=v, frames=[[0]]),
+    ),
+    "doc.format_version": (
+        "format_version", False, SchemaError,
+        lambda s, v: _doc_with(s, lambda d: d.update(format_version=v)),
+    ),
+    "doc.t": ("t", True, SchemaError, lambda s, v: _doc_with(s, lambda d: d.update(t=v))),
+    "doc.lambda": (
+        "lambda", True, SchemaError, lambda s, v: _doc_with(s, lambda d: d.update({"lambda": v}))
+    ),
+    "doc.levels.r": (
+        "levels[1].r", True, SchemaError,
+        lambda s, v: _doc_with(s, lambda d: d["levels"][1].update(r=v)),
+    ),
+    "doc.levels.u": (
+        "levels[1].u", False, SchemaError,
+        lambda s, v: _doc_with(s, lambda d: d["levels"][1].update(u=v)),
+    ),
+    "doc.length": (
+        "length", True, SchemaError, lambda s, v: _doc_with(s, lambda d: d.update(length=v))
+    ),
+    "doc.params.d": (
+        "construction.params.d", False, SchemaError,
+        lambda s, v: _doc_with(s, lambda d: d["construction"]["params"].update(d=v)),
+    ),
+    "doc.params.n": (
+        "construction.params.n", False, SchemaError,
+        lambda s, v: _doc_with(s, lambda d: d["construction"]["params"].update(n=v)),
+    ),
+    "doc.params.seed": (
+        "construction.params.seed", False, SchemaError,
+        lambda s, v: _doc_with(s, lambda d: d["construction"]["params"].update(seed=v)),
+    ),
+    "doc.sequences.level": (
+        "sequences[1].level", False, SchemaError,
+        lambda s, v: _doc_with(s, lambda d: d["sequences"][1].update(level=v)),
+    ),
+    "doc.sequences.user": (
+        "sequences[1].user", False, SchemaError,
+        lambda s, v: _doc_with(s, lambda d: d["sequences"][1].update(user=v)),
+    ),
+    "cons2_params.n": (
+        "round count", True, ConfigError, lambda s, v: cons2_params(s.config, n=v)
+    ),
+    "cons2_params.d": (
+        "exponent modulus", True, ConfigError, lambda s, v: cons2_params(s.config, n=1, g=3, d=v)
+    ),
+    "SacState.sync_delay": (
+        "sync delay", False, ConfigError, lambda s, v: SacState(s, sync_delay=v)
+    ),
+    "SacState.assign_seed": (
+        "assign seed", False, ConfigError, lambda s, v: SacState(s, assign_seed=v)
+    ),
+    "script.frame": (
+        "script entry 0: frame", False, ValueError,
+        lambda s, v: run_script(s, [{"frame": v, "action": "leave", "user": "A"}]),
+    ),
+    "script.level": (
+        "script entry 0: level", False, ValueError,
+        lambda s, v: run_script(s, [{"frame": 0, "action": "join", "user": "A", "level": v}]),
+    ),
+    "FixedScheme.slots": ("fixed slot", False, ConfigError, lambda s, v: FixedScheme((0, v))),
+    "SimConfig.t": ("frame size", True, ConfigError, lambda s, v: _sim(t=v)),
+    "SimConfig.symbols_per_slot": (
+        "symbols per slot", True, ConfigError, lambda s, v: _sim(symbols_per_slot=v)
+    ),
+    "SimConfig.frames": ("frame count", True, ConfigError, lambda s, v: _sim(frames=v)),
+    "SimConfig.seed": ("seed", False, ConfigError, lambda s, v: _sim(seed=v)),
+    "SimConfig.interference_slots": (
+        "interference slot", False, ConfigError, lambda s, v: _sim(interference_slots=(v,))
+    ),
+    "interference_hit_fraction.frames": (
+        "frame count", True, ConfigError,
+        lambda s, v: interference_hit_fraction(FixedScheme((0,)), (), v),
+    ),
+    "enumerate_user_counts.t": (
+        "frame size", True, ConfigError, lambda s, v: enumerate_user_counts(v, (1, 2))
+    ),
+    "enumerate_user_counts.cap": (
+        "tuple cap", False, ConfigError, lambda s, v: enumerate_user_counts(6, (1, 2), cap=v)
+    ),
+    "enumerate_user_counts.level_values": (
+        "level value", True, ConfigError, lambda s, v: enumerate_user_counts(6, (v, 7))
+    ),
+}
+
+
 class TestConfigTypes:
     def test_level_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -91,6 +215,19 @@ class TestConfigTypes:
         with pytest.raises(ConfigError, match=message):
             build()
 
+    # None stands for the site's out-of-range int: 0 where >= 1 is required, else -1
+    @pytest.mark.parametrize("value", [True, 1.5, "2", None], ids=["bool", "float", "str", "range"])
+    @pytest.mark.parametrize("site", sorted(INT_SITES))
+    def test_every_integer_input_follows_one_rule(self, set128, site, value):
+        what, positive, error, build = INT_SITES[site]
+        if value is None:
+            value = 0 if positive else -1
+        with pytest.raises(error) as excinfo:
+            build(set128, value)
+        assert excinfo.type is error
+        kind = "a positive" if positive else "a non-negative"
+        assert str(excinfo.value) == f"{what} must be {kind} int, got {value!r}"
+
     def test_levels_must_ascend(self):
         with pytest.raises(ConfigError, match="increasing"):
             SystemConfig(t=8, levels=((3, 1), (3, 1)))
@@ -109,6 +246,22 @@ class TestConfigTypes:
         cfg = SystemConfig(t=8, levels=((4, 3),))
         assert cfg.load == 12
         assert not cfg.saturated
+
+
+class TestSlotTables:
+    @pytest.mark.parametrize(
+        "frames, dtype",
+        [([[1.7, 2]], "float64"), ([["3", "4"]], "<U1"), ([[True, False]], "bool")],
+        ids=["float", "str", "bool"],
+    )
+    def test_non_integer_table_refused(self, frames, dtype):
+        with pytest.raises(ConfigError, match=f"frames must be an integer array, got dtype {dtype}"):
+            HcsSequence(level=0, user=0, frames=frames)
+
+    def test_integer_tables_of_any_width_become_int64(self):
+        seq = HcsSequence(level=0, user=0, frames=np.array([[3, 1]], dtype=np.uint8))
+        assert seq.frames.dtype == np.int64
+        assert seq.frames.tolist() == [[3, 1]]
 
 
 class TestFlatten:
@@ -155,6 +308,19 @@ class TestDocuments:
         for a, b in zip(loaded.sequences, set24.sequences):
             assert (a.level, a.user) == (b.level, b.user)
             assert np.array_equal(a.frames, b.frames)
+
+    def test_bool_level_refused_before_it_reaches_a_file(self, set128):
+        # HcsSet once took level=True, and save_set wrote a file load_set refused
+        with pytest.raises(ConfigError, match="sequence level must be a non-negative int, got True"):
+            HcsSet(
+                config=set128.config,
+                length=set128.length,
+                sequences=tuple(
+                    HcsSequence(level=True if s.level == 1 else s.level, user=s.user, frames=s.frames)
+                    for s in set128.sequences
+                ),
+                provenance=set128.provenance,
+            )
 
     def test_round_trip_modular_affine(self, set128, tmp_path):
         path = tmp_path / "set.json"
@@ -241,7 +407,7 @@ class TestDocuments:
     def test_seed_must_be_non_negative_int(self, set24, value):
         doc = to_document(set24)
         doc["construction"]["params"]["seed"] = value
-        with pytest.raises(SchemaError, match="construction.params.seed: expected an integer >= 0"):
+        with pytest.raises(SchemaError, match="construction.params.seed must be a non-negative int"):
             from_document(doc)
 
     def test_missing_seed_loads_as_zero(self, set24):

@@ -231,21 +231,23 @@ class TestRunScript:
         with pytest.raises(ValueError, match="unknown action"):
             sac.run_script(set24, [{"frame": 0, "action": "sleep", "user": "A"}])
 
-    @pytest.mark.parametrize("roster", ["full", "empty"])
-    def test_far_frame_refused(self, set24, roster):
-        # an audit up to frame 2**31 once ran for hours; an empty roster
-        # audits no rows but would still walk every frame
-        hcs_set = set24
-        if roster == "empty":
-            hcs_set = HcsSet(
-                config=SystemConfig(t=6, levels=((2, 0),)),
-                length=12,
-                sequences=(),
-                provenance={"kind": "c1", "params": {}},
-            )
+    def test_far_frame_refused(self, set24):
+        # an audit up to frame 2**31 once ran for hours
         script = [{"frame": 2**31, "action": "join", "user": "A", "level": 0}]
         with pytest.raises(ValueError, match=f"exceeds {sac.MAX_AUDIT_ROWS} rows"):
-            sac.run_script(hcs_set, script)
+            sac.run_script(set24, script)
+
+    def test_far_frame_on_empty_roster_audits_nothing(self):
+        empty = HcsSet(
+            config=SystemConfig(t=6, levels=((2, 0),)),
+            length=12,
+            sequences=(),
+            provenance={"kind": "c1", "params": {}},
+        )
+        script = [{"frame": 2**31, "action": "join", "user": "A", "level": 0}]
+        state, audit, collisions = sac.run_script(empty, script)
+        assert audit == [] and collisions == []
+        assert [e.kind for e in state.events] == ["join-request", "queued"]
 
     def test_audit_bound_is_frames_times_load(self, set24, monkeypatch):
         monkeypatch.setattr(sac, "MAX_AUDIT_ROWS", 2 * 24)

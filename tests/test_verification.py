@@ -489,7 +489,9 @@ class TestOutOfRange:
         huge = HcsSet(
             config=SystemConfig(t=1 << 40, levels=((1, 1),)),
             length=2,
-            sequences=(HcsSequence(level=0, user=0, frames=np.zeros((2, 1))),),
+            sequences=(
+                HcsSequence(level=0, user=0, frames=np.zeros((2, 1), dtype=np.int64)),
+            ),
             provenance={"kind": "c1", "params": {}},
         )
         with pytest.raises(ValueError, match="too large to verify"):
