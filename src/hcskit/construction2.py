@@ -85,12 +85,14 @@ def cons2_params(
         if d is not None:
             raise ConfigError("an explicit exponent modulus d needs an explicit unit g")
         g, d = find_generator(t)
-    elif math.gcd(g, t) != 1:
-        raise ConfigError(f"{g} is not a unit modulo {t}")
-    elif d is None:
-        d = multiplicative_order(g, t)
     else:
-        check_int(d, "exponent modulus", positive=True)
+        check_int(g, "unit", positive=True)
+        if math.gcd(g, t) != 1:
+            raise ConfigError(f"{g} is not a unit modulo {t}")
+        if d is None:
+            d = multiplicative_order(g, t)
+        else:
+            check_int(d, "exponent modulus", positive=True)
     omega2 = []
     prefix = 0
     for lv in config.levels:
@@ -102,7 +104,7 @@ def cons2_params(
             f"sequence length d^n*t = {d}^{n}*{t} exceeds the {MAX_LENGTH} guard; "
             f"pick fewer rounds or a smaller-order unit"
         )
-    return Cons2Params(g=int(g), d=d, n=n, omega2=tuple(omega2))
+    return Cons2Params(g=g, d=d, n=n, omega2=tuple(omega2))
 
 
 def construct2(

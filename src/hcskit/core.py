@@ -17,8 +17,11 @@ the constructions that emit them and re-checked by the verification module.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -51,6 +54,26 @@ def check_int(
         return value
     kind = "a positive" if positive else "a non-negative"
     raise error(f"{what} must be {kind} int, got {value!r}")
+
+
+def check_db(value, what: str) -> float:
+    """``value`` as a float if it is a real number, not a bool, whose power
+    ratios 10^(value/10) and 10^(-value/10) are both finite and nonzero.
+
+    Refuses nan, infinities and magnitudes beyond about 3082 dB with
+    ConfigError, so the simulator's power conversions cannot overflow or
+    divide by zero.
+    """
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            x = float(value)
+            if math.isfinite(10.0 ** (abs(x) / 10.0)):
+                return x
+    except OverflowError:
+        pass
+    raise ConfigError(
+        f"{what} must be a finite dB value whose power ratio fits a float, got {value!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -207,7 +230,8 @@ def hamming_correlation(x: Sequence[int], y: Sequence[int], tau: int = 0) -> int
         raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
     if xv.size == 0:
         raise ValueError("sequences must be non-empty")
-    if not 0 <= tau < xv.size:
+    check_int(tau, "shift")
+    if tau >= xv.size:
         raise ValueError(f"shift must lie in [0, {xv.size}), got {tau}")
     return int(np.count_nonzero(xv == np.roll(yv, -tau)))
 
@@ -247,6 +271,27 @@ def _need(doc: dict, key: str, where: str):
 
 
 _schema_int = partial(check_int, error=SchemaError)
+
+
+def _flat_slots(frames: list, r: int, where: str) -> list:
+    """A sequence's slots in one row-major list, once every frame is a list
+    of ``r`` ints (bools refused).
+
+    The checks run over the whole sequence at once; only when one fails does
+    the per-frame loop run, to name the first bad frame.
+    """
+    if set(map(type, frames)) == {list} and set(map(len, frames)) == {r}:
+        flat = list(chain.from_iterable(frames))
+        if set(map(type, flat)) == {int}:
+            return flat
+    for fi, frame in enumerate(frames):
+        if not isinstance(frame, list) or len(frame) != r:
+            raise SchemaError(f"{where}.frames[{fi}]: expected {r} slots")
+        for slot in frame:
+            if isinstance(slot, bool) or not isinstance(slot, int):
+                raise SchemaError(f"{where}.frames[{fi}]: slots must be integers")
+    # only list and int subclasses get here
+    return list(chain.from_iterable(frames))
 
 
 def from_document(doc) -> HcsSet:
@@ -326,14 +371,9 @@ def from_document(doc) -> HcsSet:
             got = len(frames) if isinstance(frames, list) else type(frames).__name__
             raise SchemaError(f"{where}.frames: expected {length} frames, got {got}")
         r = config.levels[level].r
-        for fi, frame in enumerate(frames):
-            if not isinstance(frame, list) or len(frame) != r:
-                raise SchemaError(f"{where}.frames[{fi}]: expected {r} slots")
-            for slot in frame:
-                if isinstance(slot, bool) or not isinstance(slot, int):
-                    raise SchemaError(f"{where}.frames[{fi}]: slots must be integers")
+        flat = _flat_slots(frames, r, where)
         try:
-            table = np.array(frames, dtype=np.int64)
+            table = np.array(flat, dtype=np.int64).reshape(length, r)
         except OverflowError:
             raise SchemaError(f"{where}.frames: slots must fit in int64") from None
         sequences.append(HcsSequence(level=level, user=user, frames=table))
@@ -385,9 +425,11 @@ def load_set(path) -> HcsSet:
 
 
 def dumps_document(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+    """Canonical JSON text: sorted keys, no whitespace, trailing newline.
 
     Used for every file the toolkit writes so that identical inputs produce
-    byte-identical outputs.
+    byte-identical outputs.  Without an indent ``json`` runs its C encoder.
+    Documents written with whitespace by earlier versions hold the same JSON
+    values and load unchanged.
     """
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

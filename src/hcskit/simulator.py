@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import rng
-from .core import ConfigError, HcsSet, check_int
+from .core import ConfigError, HcsSet, check_db, check_int
 
 
 class _CycledScheme:
@@ -67,6 +67,11 @@ class HcsScheme(_CycledScheme):
     level: int | None = None
     user: int = 0
 
+    def __post_init__(self) -> None:
+        if self.level is not None:
+            check_int(self.level, "scheme level")
+        check_int(self.user, "scheme user")
+
     def _sequence(self):
         level = self.level if self.level is not None else self.hcs_set.config.num_levels - 1
         try:
@@ -94,6 +99,16 @@ class HcsScheme(_CycledScheme):
 Scheme = Union[FixedScheme, HcsScheme]
 
 
+def _interference_slots(slots: Sequence[int], t: int | None) -> tuple[int, ...]:
+    """Distinct non-negative int slot numbers, each in [0, t) if t is given."""
+    slots = tuple(check_int(s, "interference slot") for s in slots)
+    if len(set(slots)) != len(slots):
+        raise ConfigError("interference slots must be distinct")
+    if t is not None and any(s >= t for s in slots):
+        raise ConfigError(f"interference slots must lie in [0, {t})")
+    return slots
+
+
 def _exposure(scheme: Scheme, interference_slots: Sequence[int], frames: int) -> tuple[int, int]:
     """(interfered, sent) slot counts over ``frames`` frames, counted per cycle:
     full cycles times one cycle's hits, plus the leading rows of the last one."""
@@ -115,19 +130,18 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
-        slots = tuple(check_int(s, "interference slot") for s in self.interference_slots)
-        object.__setattr__(self, "interference_slots", slots)
+        snr_db = tuple(check_db(s, "SNR point") for s in self.snr_db)
+        object.__setattr__(self, "snr_db", snr_db)
+        power = check_db(self.interference_power_db, "interference power")
+        object.__setattr__(self, "interference_power_db", power)
         check_int(self.t, "frame size", positive=True)
+        slots = _interference_slots(self.interference_slots, self.t)
+        object.__setattr__(self, "interference_slots", slots)
         if not self.snr_db:
             raise ConfigError("at least one SNR point is required")
         check_int(self.symbols_per_slot, "symbols per slot", positive=True)
         check_int(self.frames, "frame count", positive=True)
         check_int(self.seed, "seed")
-        if len(set(self.interference_slots)) != len(self.interference_slots):
-            raise ConfigError("interference slots must be distinct")
-        if any(not 0 <= s < self.t for s in self.interference_slots):
-            raise ConfigError(f"interference slots must lie in [0, {self.t})")
         self.scheme.validate(self.t)
 
 
@@ -159,10 +173,16 @@ def scenario_label(interference_slots: Sequence[int], power_db: float) -> str:
 def interference_hit_fraction(
     scheme: Scheme, interference_slots: Sequence[int], frames: int, t: int | None = None
 ) -> float:
-    """Fraction of transmitted slots that fall on interfered slot numbers."""
+    """Fraction of transmitted slots that fall on interfered slot numbers.
+
+    The slots follow SimConfig's rule; their range, and the scheme, are
+    checked against ``t`` when it is given.
+    """
     check_int(frames, "frame count", positive=True)
     if t is not None:
+        check_int(t, "frame size", positive=True)
         scheme.validate(t)
+    interference_slots = _interference_slots(interference_slots, t)
     hit, sent = _exposure(scheme, interference_slots, frames)
     return hit / sent
 

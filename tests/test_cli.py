@@ -583,6 +583,28 @@ class TestSimulateAndCompare:
         assert err["message"] == message
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, value, what",
+        [
+            ("--ipower-db", "1e308", "interference power"),
+            ("--snr", "1e400", "SNR point"),
+            ("--snr", "nan", "SNR point"),
+            ("--ipower-db", "nan", "interference power"),
+        ],
+        ids=["ipower-overflow", "snr-inf", "snr-nan", "ipower-nan"],
+    )
+    def test_simulate_db_beyond_float_is_config_error(self, tmp_path, capsys, option, value, what):
+        out = tmp_path / "o.csv"
+        err = assert_config_error(
+            capsys,
+            ["simulate", "--fixed", "0,2", "--t", "8", "--frames", "10", "--seed", "1",
+             "--out", str(out), "--interference", "0", option, value],
+        )
+        assert err["message"] == (
+            f"{what} must be a finite dB value whose power ratio fits a float, got {float(value)!r}"
+        )
+        assert not out.exists()
+
     def test_compare_writes_rows(self, tmp_path, capsys):
         set_path = tmp_path / "set2.json"
         dispatch(gen2_args(set_path))

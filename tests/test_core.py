@@ -6,6 +6,7 @@ import pytest
 from hcskit import (
     ConfigError,
     FixedScheme,
+    HcsScheme,
     HcsSequence,
     HcsSet,
     LevelSpec,
@@ -13,6 +14,7 @@ from hcskit import (
     SchemaError,
     SimConfig,
     SystemConfig,
+    construct2,
     enumerate_user_counts,
     from_document,
     hamming_correlation,
@@ -148,6 +150,10 @@ INT_SITES = {
     "cons2_params.d": (
         "exponent modulus", True, ConfigError, lambda s, v: cons2_params(s.config, n=1, g=3, d=v)
     ),
+    "cons2_params.g": ("unit", True, ConfigError, lambda s, v: construct2(s.config, n=2, g=v)),
+    "hamming_correlation.tau": (
+        "shift", False, ConfigError, lambda s, v: hamming_correlation([0, 1], [1, 0], v)
+    ),
     "SacState.sync_delay": (
         "sync delay", False, ConfigError, lambda s, v: SacState(s, sync_delay=v)
     ),
@@ -163,6 +169,8 @@ INT_SITES = {
         lambda s, v: run_script(s, [{"frame": 0, "action": "join", "user": "A", "level": v}]),
     ),
     "FixedScheme.slots": ("fixed slot", False, ConfigError, lambda s, v: FixedScheme((0, v))),
+    "HcsScheme.level": ("scheme level", False, ConfigError, lambda s, v: HcsScheme(s, level=v)),
+    "HcsScheme.user": ("scheme user", False, ConfigError, lambda s, v: HcsScheme(s, user=v)),
     "SimConfig.t": ("frame size", True, ConfigError, lambda s, v: _sim(t=v)),
     "SimConfig.symbols_per_slot": (
         "symbols per slot", True, ConfigError, lambda s, v: _sim(symbols_per_slot=v)
@@ -175,6 +183,10 @@ INT_SITES = {
     "interference_hit_fraction.frames": (
         "frame count", True, ConfigError,
         lambda s, v: interference_hit_fraction(FixedScheme((0,)), (), v),
+    ),
+    "interference_hit_fraction.interference_slots": (
+        "interference slot", False, ConfigError,
+        lambda s, v: interference_hit_fraction(FixedScheme((0,)), (v,), 10),
     ),
     "enumerate_user_counts.t": (
         "frame size", True, ConfigError, lambda s, v: enumerate_user_counts(v, (1, 2))
@@ -419,6 +431,50 @@ class TestDocuments:
         doc = to_document(set24)
         doc["construction"]["params"]["d"] = "x"
         assert from_document(doc).provenance["params"]["d"] == "x"
+
+    def test_indented_file_loads_and_is_rewritten_compact(self, set128, tmp_path):
+        doc = to_document(set128)
+        indented = json.dumps(doc, indent=2, sort_keys=True)
+        old = tmp_path / "old.json"
+        old.write_text(indented)
+        loaded = load_set(old)
+        for a, b in zip(loaded.sequences, set128.sequences):
+            assert np.array_equal(a.frames, b.frames)
+        new = tmp_path / "new.json"
+        save_set(loaded, new)
+        text = new.read_text()
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert json.loads(text) == json.loads(indented)
+
+    @pytest.mark.parametrize("fixture", ["set24", "set128"], ids=["c1", "c2"])
+    def test_save_load_save_is_byte_identical(self, request, tmp_path, fixture):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_set(request.getfixturevalue(fixture), first)
+        save_set(load_set(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_bytes().count(b"\n") == 1
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ((2, "x"), (5, None), "sequences[1].frames[2]: slots must be integers"),
+            ((2, None), (5, "x"), "sequences[1].frames[2]: expected 3 slots"),
+            ((2, True), (5, None), "sequences[1].frames[2]: slots must be integers"),
+        ],
+        ids=["string-then-short", "short-then-string", "bool-then-short"],
+    )
+    def test_first_bad_frame_is_named(self, set128, first, second, message):
+        # (frame, slot value): None drops the frame's last slot
+        doc = to_document(set128)
+        frames = doc["sequences"][1]["frames"]
+        for fi, value in (first, second):
+            if value is None:
+                frames[fi].pop()
+            else:
+                frames[fi][1] = value
+        with pytest.raises(SchemaError) as err:
+            from_document(doc)
+        assert str(err.value) == message
 
 
 class TestFrameInvariants:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hcskit import (
+    ConfigError,
     FixedScheme,
     HcsScheme,
     SimConfig,
@@ -107,6 +108,36 @@ class TestSchemes:
         with pytest.raises(ValueError, match="positive"):
             SimConfig(t=8, scheme=scheme, snr_db=(10.0,), frames=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("snr_db", float("nan")),
+            ("snr_db", float("inf")),
+            ("snr_db", 1e4),
+            ("snr_db", True),
+            ("snr_db", "5"),
+            ("interference_power_db", 1e308),
+            ("interference_power_db", -1e308),
+            ("interference_power_db", 10**400),
+            ("interference_power_db", float("nan")),
+        ],
+    )
+    def test_db_values_must_be_finite_powers(self, field, value):
+        what = {"snr_db": "SNR point", "interference_power_db": "interference power"}[field]
+        kw = {"snr_db": (value,)} if field == "snr_db" else {field: value}
+        with pytest.raises(ConfigError) as err:
+            SimConfig(**{"t": 8, "scheme": FixedScheme((0,)), "snr_db": (0.0,), **kw})
+        assert str(err.value) == (
+            f"{what} must be a finite dB value whose power ratio fits a float, got {value!r}"
+        )
+
+    def test_extreme_but_finite_db_values_simulate(self):
+        curve = simulate_ser(
+            SimConfig(t=8, scheme=FixedScheme((0,)), snr_db=(-3000, 3000), frames=10,
+                      interference_slots=(0,), interference_power_db=3000.0)
+        )
+        assert [p.ser for p in curve.points] == pytest.approx([0.5, 0.5], abs=0.2)
+
 
 class TestHitFraction:
     def test_fixed_scheme_exact(self):
@@ -137,6 +168,18 @@ class TestHitFraction:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="positive"):
             interference_hit_fraction(FixedScheme((0,)), [0], frames=0)
+
+    def test_interference_slots_follow_sim_config_rule(self):
+        scheme = FixedScheme((0, 2))
+        for slots in ((2.7,), (-6,), (True,)):
+            with pytest.raises(ConfigError, match="interference slot must be"):
+                interference_hit_fraction(scheme, slots, 10)
+        with pytest.raises(ConfigError, match="distinct"):
+            interference_hit_fraction(scheme, (2, 2), 10)
+        with pytest.raises(ConfigError, match=r"must lie in \[0, 8\)"):
+            interference_hit_fraction(scheme, (8,), 10, t=8)
+        # without t the range is not known, and an unused slot is never hit
+        assert interference_hit_fraction(scheme, (8,), 10) == 0.0
 
     def test_per_cycle_count_matches_tiled_table(self, set128, set32):
         # frame counts off the cycle lengths (1, 32, 128) leave a partial last cycle
