@@ -32,7 +32,7 @@ from .core import (
     save_set,
     to_document,
 )
-from .sac import SacEvent, SacState, run_script
+from .sac import Audit, SacEvent, SacState, run_script
 from .simulator import (
     ComparisonReport,
     ComparisonRow,
@@ -49,6 +49,7 @@ from .verification import VerificationReport, verify
 
 __all__ = [
     "__version__",
+    "Audit",
     "BoundReport",
     "ComparisonReport",
     "ComparisonRow",

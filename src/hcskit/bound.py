@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ConfigError, HcsError, SystemConfig, check_int
+from .core import ConfigError, HcsError, SystemConfig, check_int, check_items
 
 
 class EnumerationCapError(HcsError):
@@ -66,7 +66,10 @@ def enumerate_user_counts(
     capacity-exact ones flagged optimal.  Raises EnumerationCapError once more
     than ``cap`` tuples would be produced.
     """
-    rv = tuple(check_int(r, "level value", positive=True) for r in level_values)
+    rv = tuple(
+        check_int(r, "level value", positive=True)
+        for r in check_items(level_values, "level values")
+    )
     if not rv:
         raise ConfigError("at least one level value is required")
     if any(b <= a for a, b in zip(rv, rv[1:])):

@@ -35,6 +35,7 @@ import datetime
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -57,6 +58,9 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_VERIFY = 4
 EXIT_IO = 5
+
+# most points a --snr start:stop:step range may expand to
+MAX_SNR_POINTS = 10_000
 
 
 class _Failure(Exception):
@@ -104,18 +108,26 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_snr(text: str) -> tuple[float, ...]:
-    """Either 'start:stop:step' (stop inclusive) or a comma list of dB values."""
+    """Either 'start:stop:step' (stop inclusive, finite, at most MAX_SNR_POINTS
+    points) or a comma list of dB values."""
     try:
         if ":" in text:
             bits = text.split(":")
             if len(bits) != 3:
                 raise ValueError
             start, stop, step = (float(b) for b in bits)
-            if step <= 0 or stop < start:
+            if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
                 raise ValueError
+            too_many = argparse.ArgumentTypeError(
+                f"SNR range {text!r} has more than {MAX_SNR_POINTS} points"
+            )
+            if (stop - start) / step + 1 > MAX_SNR_POINTS:
+                raise too_many
             out = []
             value = start
             while value <= stop + 1e-9:
+                if len(out) == MAX_SNR_POINTS:  # a step too small to move a large start
+                    raise too_many
                 out.append(round(value, 9))
                 value += step
             return tuple(out)
@@ -161,6 +173,25 @@ def _csv_text(header: list[str], rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _audit_csv(audit: sac.Audit) -> str:
+    """The audit CSV written from its columns: ``_csv_text`` over its rows, byte for byte.
+
+    Each holding's ``user,level,sequence`` ending is formatted once by the csv
+    module, so a name that needs quoting is quoted as it would be in a row.
+    """
+    endings = [_csv_text(list(h[2:]), ()) for h in audit.holdings]
+    parts = ["frame,slot,user,level,sequence\n"]
+    for lo in range(0, len(audit), sac.AUDIT_BLOCK_ROWS):
+        block = slice(lo, lo + sac.AUDIT_BLOCK_ROWS)
+        parts.append("".join(map(
+            "{},{},{}".format,
+            audit.frame[block].tolist(),
+            audit.slot[block].tolist(),
+            map(endings.__getitem__, audit.holding[block].tolist()),
+        )))
+    return "".join(parts)
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -279,7 +310,7 @@ def _cmd_sac_trace(args: argparse.Namespace) -> list[Path]:
     }
     write_text(out, dumps_document(trace))
     audit_path = Path(args.audit) if args.audit else Path(str(out) + ".audit.csv")
-    write_text(audit_path, _csv_text(["frame", "slot", "user", "level", "sequence"], audit))
+    write_text(audit_path, _audit_csv(audit))
     print(
         f"wrote {out} and {audit_path}: {len(state.events)} events, "
         f"{len(collisions)} collisions"

@@ -56,6 +56,17 @@ def check_int(
     raise error(f"{what} must be {kind} int, got {value!r}")
 
 
+def check_items(value, what: str, error: type[Exception] = ConfigError) -> tuple:
+    """``value``'s items as a tuple if it is a list or tuple; ``error`` otherwise.
+
+    The sibling of check_int for the toolkit's sequence inputs, so a None or
+    a bare number in place of a list is refused instead of failing later.
+    """
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    raise error(f"{what} must be a list or tuple, got {value!r}")
+
+
 def check_db(value, what: str) -> float:
     """``value`` as a float if it is a real number, not a bool, whose power
     ratios 10^(value/10) and 10^(-value/10) are both finite and nonzero.
@@ -88,6 +99,14 @@ class LevelSpec:
         check_int(self.u, "user count")
 
 
+def _level_spec(level) -> LevelSpec:
+    if isinstance(level, LevelSpec):
+        return level
+    if isinstance(level, (list, tuple)) and len(level) == 2:
+        return LevelSpec(*level)
+    raise ConfigError(f"a level must be a LevelSpec or an (r, u) pair, got {level!r}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Frame size plus the level roster.
@@ -103,9 +122,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         check_int(self.t, "frame size", positive=True)
-        levels = tuple(
-            lv if isinstance(lv, LevelSpec) else LevelSpec(*lv) for lv in self.levels
-        )
+        levels = tuple(map(_level_spec, check_items(self.levels, "levels")))
         object.__setattr__(self, "levels", levels)
         if not levels:
             raise ConfigError("at least one level is required")
@@ -182,7 +199,10 @@ class HcsSet:
 
     def __post_init__(self) -> None:
         check_int(self.length, "sequence length", positive=True)
-        seqs = tuple(sorted(self.sequences, key=lambda s: (s.level, s.user)))
+        if not isinstance(self.provenance, dict):
+            raise ConfigError(f"provenance must be a dict, got {self.provenance!r}")
+        seqs = check_items(self.sequences, "sequences")
+        seqs = tuple(sorted(seqs, key=lambda s: (s.level, s.user)))
         object.__setattr__(self, "sequences", seqs)
         cfg = self.config
         expected = {(i, j) for i, lv in enumerate(cfg.levels) for j in range(lv.u)}

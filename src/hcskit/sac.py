@@ -16,7 +16,7 @@ from collections import deque
 
 import numpy as np
 
-from .core import ConfigError, HcsSet, check_int
+from .core import ConfigError, HcsSet, check_int, check_items
 
 ALIGNMENTS = ("global", "per-user")
 
@@ -221,25 +221,69 @@ def _holdings(state: SacState, end: int) -> list[list]:
     return sorted((h for h in spans if h[0] < h[1]), key=lambda h: h[2])
 
 
-def _audit(
-    state: SacState, end: int
-) -> tuple[list[tuple[int, int, str, int, int]], list[tuple[int, int]]]:
-    """Audit rows and collisions of frames [0, end), built block by block.
+@dataclasses.dataclass(frozen=True, eq=False)
+class Audit:
+    """Slot claims of a replay, as three sorted int64 columns.
 
-    Each holding's slots over a block are one gather from its sequence table;
-    one lexsort orders the block's rows by (frame, slot, user), and a row
-    whose (frame, slot) equals the row before it is a collision.
+    Row i claims slot ``slot[i]`` in frame ``frame[i]`` for holding
+    ``holding[i]``, an index into ``holdings``, whose entries are
+    (first, stop, user, level, sequence).  Rows are sorted by (frame, slot,
+    user).  Iteration yields (frame, slot, user, level, sequence) tuples of
+    plain ints and strs, made AUDIT_BLOCK_ROWS rows at a time; ``audit[i]``
+    is row i, and ``audit + rows`` a list of every row followed by ``rows``.
     """
-    holdings = _holdings(state, end)
+
+    frame: np.ndarray
+    slot: np.ndarray
+    holding: np.ndarray
+    holdings: tuple[tuple[int, int, str, int, int], ...]
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, index: int) -> tuple[int, int, str, int, int]:
+        row = range(len(self))[index]
+        _, _, user, level, sequence = self.holdings[self.holding[row]]
+        return int(self.frame[row]), int(self.slot[row]), user, level, sequence
+
+    def __add__(self, rows) -> list[tuple[int, int, str, int, int]]:
+        return [*self, *rows]
+
+    def __iter__(self):
+        # object columns: a gather hands back the holding's own str and int objects
+        users, levels, sequences = (
+            np.array([h[2:] for h in self.holdings], dtype=object).reshape(-1, 3).T
+        )
+        for lo in range(0, len(self), AUDIT_BLOCK_ROWS):
+            block = slice(lo, lo + AUDIT_BLOCK_ROWS)
+            holding = self.holding[block]
+            yield from zip(
+                self.frame[block].tolist(),
+                self.slot[block].tolist(),
+                users[holding].tolist(),
+                levels[holding].tolist(),
+                sequences[holding].tolist(),
+            )
+
+
+def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
+    """Audit and collisions of frames [0, end), built block by block.
+
+    Each holding's slots over a block are one gather from its sequence table.
+    Parts are joined in holding order, which is user order, so one stable
+    sort on frame * t + slot orders the block's rows by (frame, slot, user);
+    a row whose (frame, slot) equals the row before it is a collision.
+    """
+    holdings = tuple(map(tuple, _holdings(state, end)))
     if not holdings:
-        return [], []
+        empty = np.zeros(0, dtype=np.int64)
+        return Audit(empty, empty, empty, holdings), []
     begin, until, *_ = zip(*holdings)
     first, stop = np.array(begin), np.array(until)
-    # object columns: a gather hands back the holding's own str and int objects
-    users, levels, sequences = np.array([h[2:] for h in holdings], dtype=object).T
-    tables = [state.hcs_set.sequences[sid].frames for sid in sequences]
+    tables = [state.hcs_set.sequences[h[4]].frames for h in holdings]
+    t = state.hcs_set.t
     block = max(1, AUDIT_BLOCK_ROWS // state.hcs_set.config.load)
-    audit: list[tuple[int, int, str, int, int]] = []
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     collisions: list[tuple[int, int]] = []
     for lo in range(int(first.min()), int(stop.max()), block):
         hi = lo + block
@@ -255,21 +299,14 @@ def _audit(
             continue
         frame = np.concatenate(parts_frame)
         slot = np.concatenate(parts_slot)
-        holding = np.concatenate(parts_holding)
-        order = np.lexsort((holding, slot, frame))
-        frame, slot, holding = frame[order], slot[order], holding[order]
-        # one int object per frame, shared by all of that frame's rows
-        frame_ints = np.arange(lo, hi).astype(object)
-        audit.extend(zip(
-            frame_ints[frame - lo].tolist(),
-            slot.tolist(),
-            users[holding].tolist(),
-            levels[holding].tolist(),
-            sequences[holding].tolist(),
-        ))
-        dup = np.flatnonzero((frame[1:] == frame[:-1]) & (slot[1:] == slot[:-1])) + 1
+        key = (frame - lo) * t + slot
+        order = np.argsort(key, kind="stable")
+        frame, slot = frame[order], slot[order]
+        columns.append((frame, slot, np.concatenate(parts_holding)[order]))
+        dup = np.flatnonzero(np.diff(key[order]) == 0) + 1
         collisions.extend(zip(frame[dup].tolist(), slot[dup].tolist()))
-    return audit, collisions
+    frame, slot, holding = (np.concatenate(c) for c in zip(*columns))
+    return Audit(frame, slot, holding, holdings), collisions
 
 
 def run_script(
@@ -278,25 +315,26 @@ def run_script(
     alignment: str = "global",
     sync_delay: int = 0,
     assign_seed: int | None = None,
-) -> tuple[SacState, list[tuple[int, int, str, int, int]], list[tuple[int, int]]]:
+) -> tuple[SacState, Audit, list[tuple[int, int]]]:
     """Drive an allocator with a join/leave script and audit slot usage.
 
-    Script entries are {"frame": f, "action": "join"|"leave", "user": name,
-    "level": i (join only)}; entries are applied in (frame, script order).
-    Returns the final state, audit rows (frame, slot, user, level, sequence)
-    for every synchronized user in frames 0..max scripted frame, sorted by
-    (frame, slot, user), and the (frame, slot) pairs claimed more than once.
-    The audit is built per holding once every entry is applied: a grant holds
-    from its frame plus the sync delay until its holder leaves, and its rows
-    are gathered from its sequence table with numpy, AUDIT_BLOCK_ROWS rows at
-    a time, so frames where nothing changes cost no Python loop.  A malformed
-    entry, one whose frame or join level is not an int >= 0 included, raises
-    ValueError with its script position before any entry is applied, and a
-    script whose audit could exceed MAX_AUDIT_ROWS rows raises ValueError
-    before the allocator is built.
+    Script entries, a list or tuple, are {"frame": f, "action":
+    "join"|"leave", "user": name, "level": i (join only)}; entries are applied
+    in (frame, script order).  Returns the final state, the Audit of every
+    synchronized user's slot claims in frames 0..max scripted frame, sorted
+    by (frame, slot, user), and the (frame, slot) pairs claimed more than
+    once.  The audit is built per holding once every entry is applied: a
+    grant holds from its frame plus the sync delay until its holder leaves,
+    and its claims are gathered from its sequence table with numpy,
+    AUDIT_BLOCK_ROWS rows at a time, so frames where nothing changes cost no
+    Python loop.  A script that is not a list or tuple, or a malformed entry,
+    one whose frame or join level is not an int >= 0 included, raises
+    ValueError (naming the entry's script position) before any entry is
+    applied, and a script whose audit could exceed MAX_AUDIT_ROWS rows raises
+    ValueError before the allocator is built.
     """
     entries = []
-    for pos, entry in enumerate(script):
+    for pos, entry in enumerate(check_items(script, "script", error=ValueError)):
         _check_entry(entry, pos)
         entries.append((entry["frame"], pos, entry))
     entries.sort(key=lambda e: (e[0], e[1]))

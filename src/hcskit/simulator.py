@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import rng
-from .core import ConfigError, HcsSet, check_db, check_int
+from .core import ConfigError, HcsSet, check_db, check_int, check_items
 
 
 class _CycledScheme:
@@ -101,6 +101,7 @@ Scheme = Union[FixedScheme, HcsScheme]
 
 def _interference_slots(slots: Sequence[int], t: int | None) -> tuple[int, ...]:
     """Distinct non-negative int slot numbers, each in [0, t) if t is given."""
+    slots = check_items(slots, "interference slots")
     slots = tuple(check_int(s, "interference slot") for s in slots)
     if len(set(slots)) != len(slots):
         raise ConfigError("interference slots must be distinct")
@@ -130,7 +131,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        snr_db = tuple(check_db(s, "SNR point") for s in self.snr_db)
+        snr_db = tuple(check_db(s, "SNR point") for s in check_items(self.snr_db, "SNR points"))
         object.__setattr__(self, "snr_db", snr_db)
         power = check_db(self.interference_power_db, "interference power")
         object.__setattr__(self, "interference_power_db", power)

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from hcskit import check_bound, enumerate_user_counts, load_set, SystemConfig
-from hcskit.cli import dispatch
+from hcskit import check_bound, enumerate_user_counts, load_set, run_script, SystemConfig
+from hcskit.cli import MAX_SNR_POINTS, _csv_text, _parse_snr, dispatch
 
 LEVELS24 = "2:3,3:4,6:1"
 LEVELS8 = "1:1,3:1,4:1"
@@ -395,6 +395,40 @@ class TestSacTrace:
         assert list(manifest["outputs"]) == [str(out), str(audit)]
         assert sorted(manifest["inputs"]) == sorted([str(set_path), str(script)])
 
+    @pytest.mark.parametrize(
+        "names, alignment",
+        [
+            (["a,b", 'say "hi"', "two\nlines", "Zoë"], "global"),
+            (["A", "B", "C"], "per-user"),
+            ([], "global"),
+        ],
+        ids=["quoted-names", "per-user-collisions", "empty"],
+    )
+    def test_audit_csv_is_the_rows_through_csv(self, tmp_path, capsys, names, alignment):
+        set_path = tmp_path / "set2.json"
+        dispatch(gen2_args(set_path))
+        # one sequence per level, so a fourth user waits for the first to leave
+        script = [
+            {"frame": i, "action": "join", "user": name, "level": i % 3}
+            for i, name in enumerate(names)
+        ]
+        if names:
+            script += [
+                {"frame": 5, "action": "leave", "user": names[0]},
+                {"frame": 40, "action": "leave", "user": names[1]},
+            ]
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps(script))
+        out = tmp_path / "trace.json"
+        argv = ["sac-trace", "--set", str(set_path), "--script", str(script_path)]
+        assert dispatch(argv + ["--out", str(out), "--alignment", alignment]) == 0
+        capsys.readouterr()
+        _, audit, collisions = run_script(load_set(set_path), script, alignment=alignment)
+        assert (len(audit) > 0, len(collisions) > 0) == (bool(names), alignment == "per-user")
+        header = ["frame", "slot", "user", "level", "sequence"]
+        want = _csv_text(header, list(audit)).encode("utf-8")
+        assert (tmp_path / "trace.json.audit.csv").read_bytes() == want
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         set_path = tmp_path / "set2.json"
         dispatch(gen2_args(set_path))
@@ -604,6 +638,31 @@ class TestSimulateAndCompare:
             f"{what} must be a finite dB value whose power ratio fits a float, got {float(value)!r}"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0:inf:1", "expected start:stop:step or a comma list of dB values, got '0:inf:1'"),
+            ("0:1e400:1", "expected start:stop:step or a comma list of dB values, got '0:1e400:1'"),
+            ("nan:1:1", "expected start:stop:step or a comma list of dB values, got 'nan:1:1'"),
+            ("0:1e6:1e-9", "SNR range '0:1e6:1e-9' has more than 10000 points"),
+            ("0:10000:1", "SNR range '0:10000:1' has more than 10000 points"),
+            ("1e300:1e300:1", "SNR range '1e300:1e300:1' has more than 10000 points"),
+        ],
+        ids=["inf-stop", "overflow-stop", "nan-start", "tiny-step", "one-too-many", "stalled-step"],
+    )
+    def test_snr_range_is_bounded(self, tmp_path, capsys, text, message):
+        out = tmp_path / "o.csv"
+        err = assert_usage_error(
+            capsys, ["simulate", "--fixed", "0,2", "--t", "8", "--snr", text, "--out", str(out)]
+        )
+        assert err["message"] == f"hcs simulate: argument --snr: {message}"
+        assert not out.exists()
+
+    def test_snr_range_points(self):
+        assert _parse_snr("0:14:1") == tuple(float(x) for x in range(15))
+        assert _parse_snr("0:1:0.25") == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert len(_parse_snr("0:9999:1")) == MAX_SNR_POINTS
 
     def test_compare_writes_rows(self, tmp_path, capsys):
         set_path = tmp_path / "set2.json"

@@ -23,6 +23,7 @@ from hcskit import (
     run_script,
     save_set,
     to_document,
+    verify,
 )
 from hcskit.construction2 import cons2_params
 
@@ -239,6 +240,37 @@ class TestConfigTypes:
         assert excinfo.type is error
         kind = "a positive" if positive else "a non-negative"
         assert str(excinfo.value) == f"{what} must be {kind} int, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda s: run_script(s, None), ValueError, "script must be a list or tuple, got None"),
+            (lambda s: SystemConfig(t=8, levels=5), ConfigError,
+             "levels must be a list or tuple, got 5"),
+            (lambda s: SystemConfig(t=8, levels=((1,),)), ConfigError,
+             "a level must be a LevelSpec or an (r, u) pair, got (1,)"),
+            (lambda s: SimConfig(t=8, scheme=FixedScheme((0,)), snr_db=5), ConfigError,
+             "SNR points must be a list or tuple, got 5"),
+            (lambda s: interference_hit_fraction(FixedScheme((0,)), 5, 10), ConfigError,
+             "interference slots must be a list or tuple, got 5"),
+            (lambda s: enumerate_user_counts(8, None), ConfigError,
+             "level values must be a list or tuple, got None"),
+            (lambda s: verify(HcsSet(config=s.config, length=s.length, sequences=s.sequences,
+                                     provenance=None)), ConfigError,
+             "provenance must be a dict, got None"),
+            (lambda s: HcsSet(config=s.config, length=s.length, sequences=None,
+                              provenance=s.provenance), ConfigError,
+             "sequences must be a list or tuple, got None"),
+        ],
+        ids=["run_script-script", "levels-int", "level-one-tuple", "snr_db-int",
+             "hit-fraction-slots", "enumerate-level-values", "verify-provenance",
+             "set-sequences"],
+    )
+    def test_non_sequence_input_is_refused(self, set128, call, error, message):
+        with pytest.raises(error) as excinfo:
+            call(set128)
+        assert excinfo.type is error
+        assert str(excinfo.value) == message
 
     def test_levels_must_ascend(self):
         with pytest.raises(ConfigError, match="increasing"):

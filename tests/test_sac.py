@@ -189,7 +189,9 @@ class TestRunScript:
             _, audit, collisions = sac.run_script(
                 hcs_set, script, alignment=alignment, sync_delay=sync_delay
             )
-            assert (audit, collisions) == reference_audit(hcs_set, script, alignment, sync_delay)
+            assert (list(audit), collisions) == reference_audit(
+                hcs_set, script, alignment, sync_delay
+            )
 
     def test_fifo_order_on_single_sequence_level(self, set24):
         script = [
@@ -216,7 +218,7 @@ class TestRunScript:
         first = sac.run_script(set24, script)
         second = sac.run_script(set24, script)
         assert first[0].events == second[0].events
-        assert first[1] == second[1]
+        assert list(first[1]) == list(second[1])
 
     def test_seeded_random_policy(self, set24):
         state = sac.init(set24, assign_seed=5)
@@ -246,7 +248,7 @@ class TestRunScript:
         )
         script = [{"frame": 2**31, "action": "join", "user": "A", "level": 0}]
         state, audit, collisions = sac.run_script(empty, script)
-        assert audit == [] and collisions == []
+        assert list(audit) == [] and collisions == []
         assert [e.kind for e in state.events] == ["join-request", "queued"]
 
     def test_audit_bound_is_frames_times_load(self, set24, monkeypatch):
@@ -287,7 +289,7 @@ class TestRunScript:
             for f, row in zip(frames, np.sort(rows, axis=1))
             for slot in row
         ]
-        assert audit == want
+        assert list(audit) == want
 
     def test_audit_holds_plain_values(self, set24):
         gen = np.random.default_rng(31)
@@ -298,6 +300,23 @@ class TestRunScript:
             assert [type(v) for v in row] == [int, int, str, int, int]
         for pair in collisions:
             assert [type(v) for v in pair] == [int, int]
+
+    def test_audit_is_sorted_columns(self, set24, monkeypatch):
+        gen = np.random.default_rng(51)
+        script = random_script(gen, set24, frames=200)
+        _, audit, collisions = sac.run_script(set24, script, alignment="per-user")
+        rows = list(audit)
+        assert collisions and len(audit) == len(rows)
+        assert [c.dtype for c in (audit.frame, audit.slot, audit.holding)] == [np.int64] * 3
+        users = [audit.holdings[h][2] for h in audit.holding.tolist()]
+        assert list(zip(audit.frame.tolist(), audit.slot.tolist(), users)) == [
+            row[:3] for row in rows
+        ]
+        assert rows == sorted(rows, key=lambda row: row[:3])
+        assert [audit[i] for i in (0, 7, -1)] == [rows[0], rows[7], rows[-1]]
+        assert audit + [rows[3]] == rows + [rows[3]]
+        monkeypatch.setattr(sac, "AUDIT_BLOCK_ROWS", 7)
+        assert list(audit) == rows
 
     @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
     @pytest.mark.parametrize("sync_delay", [0, 3])
@@ -333,4 +352,4 @@ class TestRunScript:
                     (frame, b[1]) for a, b in zip(rows, rows[1:]) if a[1] == b[1]
                 ]
                 want += rows
-            assert (audit, collisions) == (want, want_collisions)
+            assert (list(audit), collisions) == (want, want_collisions)
