@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ConfigError, HcsError, SystemConfig, check_int, check_items
+from .core import ConfigError, HcsError, SystemConfig, check_instance, check_int, check_items
 
 
 class EnumerationCapError(HcsError):
@@ -48,7 +48,7 @@ class UserCountTuple:
 
 def check_bound(config: SystemConfig) -> BoundReport:
     """Slot-load accounting for a roster; never raises on over-capacity."""
-    load = config.load
+    load = check_instance(config, SystemConfig, "config").load
     slack = config.t - load
     return BoundReport(load=load, capacity=config.t, slack=slack, optimal=slack == 0)
 

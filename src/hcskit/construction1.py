@@ -10,6 +10,13 @@ users ever claim the same slot in the same frame; with a capacity-exact
 roster every frame uses all t slots exactly once.
 
 Sequence length is t*R frames.
+
+The whole set is built in whole-array numpy steps.  Every frame's selector
+rank is decoded at once (``unrank_permutations``): its factorial-base
+digits are taken in uint64, since 20! - 1 fits, and a right-to-left fix-up
+turns those digits into the permutation.  Each level then gets its (user,
+frame, run) positions in one broadcast and its slots in one gather from the
+decoded rows.
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ from math import factorial
 import numpy as np
 
 from . import rng
-from .core import ConfigError, HcsSequence, HcsSet, SystemConfig
+from .core import ConfigError, HcsSequence, HcsSet, SystemConfig, check_instance
 
 # 21! does not fit the 64-bit selector entries, so block counts keep the
 # permutation group at 20 elements or fewer.
@@ -63,7 +70,7 @@ def cons1_params(config: SystemConfig) -> Cons1Params:
     Each premise failure gets its own diagnostic so callers can tell which
     one to fix.
     """
-    t = config.t
+    t = check_instance(config, SystemConfig, "config").t
     R = config.levels[-1].r
     if t % R != 0:
         raise ConfigError(
@@ -110,13 +117,30 @@ def unrank_permutation(gamma: int, m: int) -> tuple[int, ...]:
     total = factorial(m)
     if not 0 <= gamma < total:
         raise ValueError(f"rank must lie in [0, {total}), got {gamma}")
-    avail = list(range(m))
-    out = []
-    g = int(gamma)
-    for i in range(m - 1, -1, -1):
-        d, g = divmod(g, factorial(i))
-        out.append(avail.pop(d))
-    return tuple(out)
+    # object entries hold any Python int, so groups past 20 decode too
+    return tuple(unrank_permutations(np.array([gamma], dtype=object), m)[0].tolist())
+
+
+def unrank_permutations(ranks: np.ndarray, m: int) -> np.ndarray:
+    """(len(ranks), m) int64 array: row i is the rank-ranks[i] permutation.
+
+    ``ranks`` is a uint64 array of ranks in [0, m!) (20! - 1 fits), or an
+    object array of Python ints.  Row i first holds the factorial-base digits
+    of its rank, most significant first: digit k picks the k-th output as
+    the digit-th smallest value not yet taken.  The right-to-left fix-up
+    then turns those digits into values: each later entry at or above the
+    entry at k moves up by one.
+    """
+    out = np.empty((len(ranks), m), dtype=np.int64)
+    rest = ranks
+    for k in range(m):
+        place = factorial(m - 1 - k)
+        out[:, k] = rest // place
+        rest = rest % place
+    for k in range(m - 2, -1, -1):
+        tail = out[:, k + 1 :]
+        tail += tail >= out[:, k : k + 1]
+    return out
 
 
 def derive_drivers(config: SystemConfig, params: Cons1Params | None = None) -> DriverSequences:
@@ -173,28 +197,37 @@ def construct1(config: SystemConfig, drivers: DriverSequences | None = None) -> 
     if drivers is None:
         drivers = derive_drivers(config, params)
     else:
-        _check_drivers(drivers, params, length)
+        _check_drivers(check_instance(drivers, DriverSequences, "drivers"), params, length)
 
-    # one decoded permutation row per frame; ranks repeat, so each is decoded once
-    ranks, which = np.unique(drivers.selector, return_inverse=True)
-    table = np.array([unrank_permutation(int(g), params.m) for g in ranks], dtype=np.int64)
-    perm_rows = table[which]
+    m = params.m
+    perm_rows = unrank_permutations(np.asarray(drivers.selector, dtype=np.uint64), m)
+    # each frame's permutation row twice over, so the position p + s of two
+    # offsets p, s < m is read without a mod
+    wide = np.concatenate([perm_rows, perm_rows], axis=1).ravel()
+    row_start = np.arange(length) * (2 * m)
 
-    frame_idx = np.arange(length)
     sequences = []
     for i, lv in enumerate(config.levels):
         eta = params.eta[i]
-        om = params.omega[i]
         base = np.asarray(drivers.level_base[i], dtype=np.int64)
-        for j in range(lv.u):
-            eps = j % eta
-            group = j // eta
-            frames = np.empty((length, lv.r), dtype=np.int64)
-            for theta in range(lv.r):
-                block = (base + eps) % eta + theta * eta
-                pos = (block + om + group) % params.m
-                frames[:, theta] = perm_rows[frame_idx, pos] + block * params.m
-            sequences.append(HcsSequence(level=i, user=j, frames=frames))
+        users = np.arange(lv.u)
+        # (user, frame) block of each user's run 0, shared by the users with
+        # equal offset j % eta; run theta's block lies theta * eta further on
+        offset = ((base + np.arange(min(lv.u, eta))[:, None]) % eta)[users % eta]
+        # where run 0's position, (offset + omega + group) mod m, sits in wide
+        first = offset + (params.omega[i] + users // eta)[:, None]
+        first %= m
+        first += row_start
+        runs = np.arange(lv.r) * eta
+        # (user, frame, run) slots of the whole level, gathered at once
+        index = first[:, :, None] + runs % m
+        frames = wide.take(index)
+        # index now holds each slot's block, whose first slot is block * m
+        np.add(offset[:, :, None], runs, out=index)
+        index *= m
+        frames += index
+        for j in users.tolist():
+            sequences.append(HcsSequence(level=i, user=j, frames=frames[j]))
 
     params_doc = {"seed": params.seed, "rng": rng.ALGORITHM}
     if injected:

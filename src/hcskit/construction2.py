@@ -16,6 +16,14 @@ When d is omitted it is the true multiplicative order of g.  An explicit d
 built with an overstated order) is taken as given and needs an explicit g;
 all collision and occupancy properties hold for any d >= 1.  Provenance
 records such a set as "compat" and a true-order one as "true-order".
+
+The frames come in blocks of t, one per q = frame // t.  Within a block the
+slots depend only on e(q) = digit-sum(q) mod d and the low digit a_1(q),
+so e is built for all d^n blocks, one appended digit per round.  Up to d^2
+blocks (n <= 2), each block's slots are computed directly.  Past that, each
+sequence gets a table with one row of t slot tuples per (e, a_1) pair, and
+its frames are one gather from that table.  Either way no table is larger
+than the set.
 """
 from __future__ import annotations
 
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, HcsSequence, HcsSet, SystemConfig, check_int
+from .core import ConfigError, HcsSequence, HcsSet, SystemConfig, check_instance, check_int
 
 # guard against accidental huge d^n * t allocations
 MAX_LENGTH = 20_000_000
@@ -73,7 +81,7 @@ def cons2_params(
     g: int | None = None,
     d: int | None = None,
 ) -> Cons2Params:
-    t = config.t
+    t = check_instance(config, SystemConfig, "config").t
     if t < 2:
         raise ConfigError(f"frame size must be at least 2, got {t}")
     check_int(n, "round count", positive=True)
@@ -126,27 +134,32 @@ def construct2(
     t = config.t
     length = params.d**n * t
 
-    idx = np.arange(length, dtype=np.int64)
-    b0 = idx % t
-    q = idx // t
-    a1 = q % params.d
-    esum = np.zeros(length, dtype=np.int64)
-    qq = q.copy()
-    # with d = 1 every digit is 0
+    # block q = frame // t has exponent e(q) = digit-sum(q) mod d: append one
+    # low digit per round (with d = 1 every digit is 0, so no round is run)
+    e = np.zeros(1, dtype=np.int64)
     for _ in range(params.n if params.d > 1 else 0):
-        esum += qq % params.d
-        qq //= params.d
-    esum %= params.d
-    pow_g = np.array([pow(params.g, e, t) for e in range(params.d)], dtype=np.int64)
-    mult = pow_g[esum]
-    shift = a1 + b0
+        e = (e[:, None] + np.arange(params.d)).ravel()
+    e %= params.d
+    a1 = np.arange(len(e)) % params.d
+    # a block's rows depend only on (e, a1); past d^2 blocks, build one table
+    # row per (e, a1) key and gather it, so the table never outgrows the set
+    key = None
+    if len(e) > params.d**2:
+        key = e * params.d + a1
+        e, a1 = np.divmod(np.arange(params.d**2), params.d)
+    pow_g = np.array([pow(params.g, x, t) for x in range(params.d)], dtype=np.int64)
+    mult = pow_g[e][:, None, None]
+    shift = (a1[:, None] + np.arange(t))[:, :, None]
 
     sequences = []
     for i, lv in enumerate(config.levels):
         for j in range(lv.u):
             first_row = params.omega2[i] + j * lv.r
             rows = np.arange(first_row, first_row + lv.r, dtype=np.int64)
-            frames = (mult[:, None] * (rows[None, :] + shift[:, None])) % t
+            table = rows + shift
+            table *= mult
+            table %= t
+            frames = (table if key is None else table.take(key, axis=0)).reshape(length, lv.r)
             sequences.append(HcsSequence(level=i, user=j, frames=frames))
 
     mode = "true-order" if d is None else "compat"

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -67,6 +68,20 @@ def check_items(value, what: str, error: type[Exception] = ConfigError) -> tuple
     raise error(f"{what} must be a list or tuple, got {value!r}")
 
 
+def check_instance(value, cls, what: str, error: type[Exception] = ConfigError):
+    """``value`` itself if it is an instance of ``cls`` (a class or a tuple of
+    them); ``error`` otherwise.
+
+    The sibling of check_int for the toolkit's object inputs, so a number or
+    a None in place of a config, set or scheme is refused instead of failing
+    on a missing attribute.
+    """
+    if isinstance(value, cls):
+        return value
+    names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+    raise error(f"{what} must be a {names}, got {value!r}")
+
+
 def check_db(value, what: str) -> float:
     """``value`` as a float if it is a real number, not a bool, whose power
     ratios 10^(value/10) and 10^(-value/10) are both finite and nonzero.
@@ -85,6 +100,16 @@ def check_db(value, what: str) -> float:
     raise ConfigError(
         f"{what} must be a finite dB value whose power ratio fits a float, got {value!r}"
     )
+
+
+def frames_per_block(cells: int, per_frame: int) -> int:
+    """Frames one blocked numpy pass takes: ``cells // per_frame``, at least 1.
+
+    verify and the sac audit walk a set one block of frames at a time, with
+    ``per_frame`` entries a frame, so a pass's scratch arrays stay near
+    ``cells`` entries however long the set is.
+    """
+    return max(1, cells // per_frame)
 
 
 @dataclass(frozen=True)
@@ -198,10 +223,12 @@ class HcsSet:
     provenance: dict
 
     def __post_init__(self) -> None:
+        check_instance(self.config, SystemConfig, "set config")
         check_int(self.length, "sequence length", positive=True)
-        if not isinstance(self.provenance, dict):
-            raise ConfigError(f"provenance must be a dict, got {self.provenance!r}")
+        check_instance(self.provenance, dict, "provenance")
         seqs = check_items(self.sequences, "sequences")
+        for s in seqs:
+            check_instance(s, HcsSequence, "sequence")
         seqs = tuple(sorted(seqs, key=lambda s: (s.level, s.user)))
         object.__setattr__(self, "sequences", seqs)
         cfg = self.config
@@ -262,7 +289,7 @@ def hamming_correlation(x: Sequence[int], y: Sequence[int], tau: int = 0) -> int
 
 def to_document(hcs_set: HcsSet) -> dict:
     """Plain-JSON document for a sequence set (schema format_version 1)."""
-    cfg = hcs_set.config
+    cfg = check_instance(hcs_set, HcsSet, "set").config
     return {
         "format_version": FORMAT_VERSION,
         "t": cfg.t,
@@ -410,7 +437,7 @@ def from_document(doc) -> HcsSet:
 
 def write_text(path, text: str) -> None:
     """Write UTF-8 text to path, creating missing parent directories."""
-    path = Path(path)
+    path = Path(check_instance(path, (str, os.PathLike), "path"))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
 
@@ -427,6 +454,7 @@ def read_json(path):
     that are not UTF-8, integers beyond Python's digit limit and nesting too
     deep to parse.
     """
+    check_instance(path, (str, os.PathLike), "path")
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

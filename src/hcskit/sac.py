@@ -16,7 +16,15 @@ from collections import deque
 
 import numpy as np
 
-from .core import ConfigError, HcsSet, check_int, check_items
+from .core import (
+    ConfigError,
+    HcsSet,
+    check_instance,
+    check_int,
+    check_items,
+    frames_per_block,
+)
+from .verification import verify
 
 ALIGNMENTS = ("global", "per-user")
 
@@ -60,7 +68,7 @@ class SacState:
         if alignment not in ALIGNMENTS:
             raise ConfigError(f"unknown alignment {alignment!r}, expected one of {ALIGNMENTS}")
         check_int(sync_delay, "sync delay")
-        self.hcs_set = hcs_set
+        self.hcs_set = check_instance(hcs_set, HcsSet, "set")
         self.alignment = alignment
         self.sync_delay = sync_delay
         self.frame = 0
@@ -178,8 +186,6 @@ def init(
     assign_seed: int | None = None,
 ) -> SacState:
     """Allocator for a verified set; refuses sets that fail verification."""
-    from .verification import verify
-
     report = verify(hcs_set)
     for name, check in report.gates():
         if not check.passed:
@@ -282,7 +288,7 @@ def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
     first, stop = np.array(begin), np.array(until)
     tables = [state.hcs_set.sequences[h[4]].frames for h in holdings]
     t = state.hcs_set.t
-    block = max(1, AUDIT_BLOCK_ROWS // state.hcs_set.config.load)
+    block = frames_per_block(AUDIT_BLOCK_ROWS, state.hcs_set.config.load)
     columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     collisions: list[tuple[int, int]] = []
     for lo in range(int(first.min()), int(stop.max()), block):
@@ -338,6 +344,7 @@ def run_script(
         _check_entry(entry, pos)
         entries.append((entry["frame"], pos, entry))
     entries.sort(key=lambda e: (e[0], e[1]))
+    check_instance(hcs_set, HcsSet, "set")
     last_frame = entries[-1][0] if entries else -1
     if (last_frame + 1) * hcs_set.config.load > MAX_AUDIT_ROWS:
         raise ValueError(

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import rng
-from .core import ConfigError, HcsSet, check_db, check_int, check_items
+from .core import ConfigError, HcsSet, check_db, check_instance, check_int, check_items
 
 
 class _CycledScheme:
@@ -35,7 +35,7 @@ class FixedScheme(_CycledScheme):
     slots: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        slots = tuple(check_int(s, "fixed slot") for s in self.slots)
+        slots = tuple(check_int(s, "fixed slot") for s in check_items(self.slots, "fixed slots"))
         object.__setattr__(self, "slots", slots)
         if not slots:
             raise ConfigError("a scheme must use at least one slot per frame")
@@ -68,6 +68,7 @@ class HcsScheme(_CycledScheme):
     user: int = 0
 
     def __post_init__(self) -> None:
+        check_instance(self.hcs_set, HcsSet, "scheme set")
         if self.level is not None:
             check_int(self.level, "scheme level")
         check_int(self.user, "scheme user")
@@ -143,7 +144,7 @@ class SimConfig:
         check_int(self.symbols_per_slot, "symbols per slot", positive=True)
         check_int(self.frames, "frame count", positive=True)
         check_int(self.seed, "seed")
-        self.scheme.validate(self.t)
+        check_instance(self.scheme, (FixedScheme, HcsScheme), "scheme").validate(self.t)
 
 
 @dataclass(frozen=True)
@@ -179,6 +180,7 @@ def interference_hit_fraction(
     The slots follow SimConfig's rule; their range, and the scheme, are
     checked against ``t`` when it is given.
     """
+    check_instance(scheme, (FixedScheme, HcsScheme), "scheme")
     check_int(frames, "frame count", positive=True)
     if t is not None:
         check_int(t, "frame size", positive=True)
@@ -199,6 +201,7 @@ def simulate_ser(config: SimConfig) -> SerCurve:
     (seed, point index) substream: reruns are bit-identical per seed, and
     points are independent.
     """
+    check_instance(config, SimConfig, "simulation config")
     hit, sent = _exposure(config.scheme, config.interference_slots, config.frames)
     n_hit, total = hit * config.symbols_per_slot, sent * config.symbols_per_slot
     interference_var = 10.0 ** (config.interference_power_db / 10.0)
@@ -254,6 +257,8 @@ def compare_schemes(config_a: SimConfig, config_b: SimConfig) -> ComparisonRepor
     point; sigma is its standard deviation for independent arms, and a point
     is flagged when scheme B is worse than A by more than three sigmas.
     """
+    check_instance(config_a, SimConfig, "simulation config")
+    check_instance(config_b, SimConfig, "simulation config")
     for name in (
         "t",
         "snr_db",

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import BoundReport, check_bound
-from .core import HcsSet
+from .core import HcsSet, check_instance, frames_per_block
 
 # largest (frame, slot) claim grid verify builds: 2 GiB of int64 counts
 MAX_CLAIM_CELLS = 1 << 28
+# claim-grid cells verify counts in one block of frames
+CLAIM_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -95,25 +97,63 @@ def _label(labels, index) -> str:
     return f"level {level} user {user} run {theta}"
 
 
-def _claim_counts(hcs_set: HcsSet) -> tuple[np.ndarray, np.ndarray]:
-    """(frame, slot) claim counts and (run, slot) visit counts of an in-range set.
+def _block_shifts(widths: list[int], b: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell shifts for a block of b frames whose slots lie sequence after sequence.
 
-    One (k, l) buffer holds the runs as frame*t + slot cells for the first
-    bincount and is rewritten in place to run*t + slot cells for the second.
+    Adding the first takes each slot to its frame*t + slot claim cell;
+    adding the second then takes it on to its run*t + slot visit cell.
+    """
+    frame = [np.empty(0, np.int64)]
+    run = [np.empty(0, np.int64)]
+    first = 0
+    for r in widths:
+        frame.append(np.repeat(np.arange(b, dtype=np.int64), r))
+        run.append(np.tile(np.arange(first, first + r, dtype=np.int64), b))
+        first += r
+    frame, run = np.concatenate(frame), np.concatenate(run)
+    return frame * t, (run - frame) * t
+
+
+def _claim_counts(hcs_set: HcsSet) -> tuple[np.ndarray, np.ndarray | None, np.ndarray] | None:
+    """(doubled, first_row, per_run), or None if the set holds a slot outside 0..t-1.
+
+    ``doubled`` lists the frames where a slot is claimed more than once,
+    ascending; ``first_row`` holds the slot claim counts of the first of
+    them (None if there is none); ``per_run`` the (run, slot) visit counts.
+    Works one block of frames at a time: the block's slots are shifted to
+    claim cells for one bincount, then to visit cells for a bincount that
+    adds into the (k, t) visit counts, so no array grows with the set.
     """
     t = hcs_set.t
     length = hcs_set.length
-    # the leading empty block gives an empty roster a (0, l) buffer
-    runs = [np.empty((0, length), np.int64)] + [s.frames.T for s in hcs_set.sequences]
-    cells = np.concatenate(runs)
-    frame_base = np.arange(length, dtype=np.int64) * t
-    cells += frame_base
-    claims = np.bincount(cells.ravel(), minlength=length * t).reshape(length, t)
-    k = len(cells)
-    cells -= frame_base
-    cells += (np.arange(k, dtype=np.int64) * t)[:, None]
-    per_run = np.bincount(cells.ravel(), minlength=k * t).reshape(k, t)
-    return claims, per_run
+    seqs = hcs_set.sequences
+    widths = [s.slots_per_frame for s in seqs]
+    k = sum(widths)
+    step = frames_per_block(CLAIM_BLOCK_CELLS, max(k, t))
+    per_run = np.zeros(k * t, dtype=np.int64)
+    doubled = [np.empty(0, dtype=np.int64)]
+    first_row = None
+    for lo in range(0, length, step):
+        b = min(step, length - lo)
+        if lo == 0 or b < step:
+            to_claim, to_visit = _block_shifts(widths, b, t)
+        # the block's slots, sequence after sequence, each (b, r) row-major
+        cells = np.concatenate(
+            [np.empty(0, np.int64)] + [s.frames[lo : lo + b].ravel() for s in seqs]
+        )
+        if k and (cells.min() < 0 or cells.max() >= t):
+            return None
+        cells += to_claim
+        claims = np.bincount(cells, minlength=b * t)
+        if claims.max() > 1:
+            claims = claims.reshape(b, t)
+            hit = np.flatnonzero(claims.max(axis=1) > 1)
+            if first_row is None:
+                first_row = claims[hit[0]]
+            doubled.append(hit + lo)
+        cells += to_visit
+        per_run += np.bincount(cells, minlength=k * t)
+    return np.concatenate(doubled), first_row, per_run.reshape(k, t)
 
 
 def verify(hcs_set: HcsSet) -> VerificationReport:
@@ -126,7 +166,7 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
     while frame_distinctness names the value.  Raises ValueError when the
     claim grid (l * t cells) would exceed MAX_CLAIM_CELLS.
     """
-    cfg = hcs_set.config
+    cfg = check_instance(hcs_set, HcsSet, "set").config
     t = cfg.t
     length = hcs_set.length
     if length * t > MAX_CLAIM_CELLS:
@@ -144,13 +184,14 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
     )
     expected: int | None = None
     uniformity = 0.0
-    if not all(s.frames.min() >= 0 and s.frames.max() < t for s in seqs):
+    grid = _claim_counts(hcs_set)
+    if grid is None:
         frame_distinctness = _frame_distinctness(seqs, t, np.arange(length))
         values = np.concatenate([s.frames.ravel() for s in seqs])
         counts = np.bincount(values[(values >= 0) & (values < t)], minlength=t)
         warnings.append("histogram ignores out-of-range slot values")
     else:
-        claims, per_run = _claim_counts(hcs_set)
+        doubled, first_row, per_run = grid
         counts = per_run.sum(axis=0)
         if k:
             uniformity = float(np.abs(per_run - length / t).max())
@@ -158,13 +199,12 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
         # a doubled claim is an aligned agreement of two runs: nonzero
         # Hamming correlation at shift 0.  Witness: the lowest doubled slot
         # of the first such frame and the first two runs that hold it.
-        doubled = np.flatnonzero(claims.max(axis=1) > 1)
         # a slot repeated inside one frame of one sequence is a doubled
         # claim, so only the frames with one can fail frame_distinctness
         frame_distinctness = _frame_distinctness(seqs, t, doubled)
         if doubled.size:
             f = int(doubled[0])
-            value = int(np.argmax(claims[f] > 1))
+            value = int(np.argmax(first_row > 1))
             a, b = np.flatnonzero(np.concatenate([s.frames[f] for s in seqs]) == value)[:2]
             zero_correlation = CheckResult(
                 False,

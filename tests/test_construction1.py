@@ -1,10 +1,89 @@
 import itertools
+from math import factorial
 
 import numpy as np
 import pytest
 
 from hcskit import ConfigError, DriverSequences, SystemConfig, construct1, verify
-from hcskit.construction1 import cons1_params, derive_drivers, unrank_permutation
+from hcskit.construction1 import (
+    MAX_GROUP_SIZE,
+    cons1_params,
+    derive_drivers,
+    unrank_permutation,
+    unrank_permutations,
+)
+
+
+# ---------------------------------------------------------------------------
+# scalar form of the construction: the oracle construct1 must match
+
+
+def reference_unrank(gamma: int, m: int) -> tuple[int, ...]:
+    """The rank-gamma permutation: pop factorial-base digits off a list."""
+    avail = list(range(m))
+    out = []
+    g = int(gamma)
+    for i in range(m - 1, -1, -1):
+        d, g = divmod(g, factorial(i))
+        out.append(avail.pop(d))
+    return tuple(out)
+
+
+def reference_construct1(config, drivers) -> list[np.ndarray]:
+    """construct1's slot tables, one (user, run) column at a time."""
+    params = cons1_params(config)
+    length = config.t * params.R
+    # one decoded permutation row per frame; ranks repeat, so each is decoded once
+    ranks, which = np.unique(drivers.selector, return_inverse=True)
+    table = np.array([reference_unrank(int(g), params.m) for g in ranks], dtype=np.int64)
+    perm_rows = table[which]
+
+    frame_idx = np.arange(length)
+    tables = []
+    for i, lv in enumerate(config.levels):
+        eta = params.eta[i]
+        om = params.omega[i]
+        base = np.asarray(drivers.level_base[i], dtype=np.int64)
+        for j in range(lv.u):
+            eps = j % eta
+            group = j // eta
+            frames = np.empty((length, lv.r), dtype=np.int64)
+            for theta in range(lv.r):
+                block = (base + eps) % eta + theta * eta
+                pos = (block + om + group) % params.m
+                frames[:, theta] = perm_rows[frame_idx, pos] + block * params.m
+            tables.append(frames)
+    return tables
+
+
+def divisors(x: int) -> list[int]:
+    return [v for v in range(1, x + 1) if x % v == 0]
+
+
+def random_roster(gen, t: int) -> tuple[tuple[int, int], ...]:
+    """A random roster construct1 accepts on a t-slot frame.
+
+    The largest demand R divides t with t/R <= MAX_GROUP_SIZE, every demand
+    divides R, and every level below the top loads a multiple of R slots,
+    so the load is at most t/R chunks of R slots.
+    """
+    R = int(gen.choice([r for r in divisors(t) if t // r <= MAX_GROUP_SIZE]))
+    below = [r for r in divisors(R) if r < R]
+    picked = sorted(gen.choice(below, size=int(gen.integers(0, len(below) + 1)), replace=False))
+    demands = [int(r) for r in picked] + [R]
+    chunks = gen.multinomial(int(gen.integers(1, t // R + 1)), [1 / len(demands)] * len(demands))
+    levels = [(r, int(c) * (R // r)) for r, c in zip(demands[:-1], chunks)]
+    return tuple(levels) + ((R, int(chunks[-1])),)
+
+
+def assert_same_tables(built, expected):
+    assert [(s.level, s.user) for s in built.sequences] == [
+        (i, j) for i, lv in enumerate(built.config.levels) for j in range(lv.u)
+    ]
+    assert len(built.sequences) == len(expected)
+    for s, frames in zip(built.sequences, expected):
+        assert s.frames.dtype == np.int64
+        assert np.array_equal(s.frames, frames), (s.level, s.user)
 
 
 def zero_drivers(config, params):
@@ -33,6 +112,29 @@ class TestUnrankPermutation:
         for m in (1, 2, 3, 5):
             seen = {unrank_permutation(g, m) for g in range(math.factorial(m))}
             assert len(seen) == math.factorial(m)
+
+    def test_batched_decode_matches_reference_for_small_groups(self):
+        for m in range(1, 7):
+            ranks = np.arange(factorial(m), dtype=np.uint64)
+            expected = [reference_unrank(g, m) for g in range(factorial(m))]
+            assert [tuple(row) for row in unrank_permutations(ranks, m).tolist()] == expected
+            assert [unrank_permutation(g, m) for g in range(factorial(m))] == expected
+
+    def test_batched_decode_matches_reference_at_twenty(self):
+        m = MAX_GROUP_SIZE
+        gen = np.random.default_rng(20)
+        ranks = np.concatenate([
+            np.array([0, factorial(m) - 1], dtype=np.uint64),
+            gen.integers(0, factorial(m), size=1000, dtype=np.uint64),
+        ])
+        decoded = unrank_permutations(ranks, m)
+        for g, row in zip(ranks.tolist(), decoded.tolist()):
+            assert tuple(row) == reference_unrank(g, m) == unrank_permutation(g, m)
+        assert decoded[1].tolist() == list(range(m - 1, -1, -1))
+
+    def test_groups_past_twenty_decode_with_python_ints(self):
+        for m, gamma in ((21, factorial(21) - 1), (25, 10**24 + 7)):
+            assert unrank_permutation(gamma, m) == reference_unrank(gamma, m)
 
     def test_rank_range_errors(self):
         with pytest.raises(ValueError, match=r"\[0, 24\)"):
@@ -160,6 +262,32 @@ class TestConstruct:
         cfg = SystemConfig(t=4, levels=((4, 1),), seed=9)
         built = construct1(cfg)
         assert np.all(built.sequence(0, 0).frames == np.arange(4))
+
+    @pytest.mark.parametrize("t", [4, 24, 120, 240])
+    def test_matches_reference_on_random_rosters(self, t):
+        gen = np.random.default_rng(t)
+        for _ in range(4):
+            cfg = SystemConfig(t=t, levels=random_roster(gen, t), seed=int(gen.integers(2**40)))
+            built = construct1(cfg)
+            assert_same_tables(built, reference_construct1(cfg, derive_drivers(cfg)))
+            assert verify(built).passed
+
+    def test_matches_reference_with_extreme_selector_ranks(self):
+        # m = 20: ranks 0 (identity) and 20! - 1 (reversal) sit at the ends of uint64 use
+        cfg = SystemConfig(t=240, levels=((1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (12, 10)))
+        params = cons1_params(cfg)
+        assert params.m == MAX_GROUP_SIZE
+        length = cfg.t * params.R
+        gen = np.random.default_rng(3)
+        selector = np.where(np.arange(length) % 3 == 0, 0, factorial(params.m) - 1)
+        selector[1::3] = gen.integers(0, factorial(params.m), size=len(selector[1::3]))
+        drivers = DriverSequences(
+            selector=selector.astype(np.uint64),
+            level_base=tuple(gen.integers(0, eta, size=length) for eta in params.eta),
+        )
+        built = construct1(cfg, drivers)
+        assert_same_tables(built, reference_construct1(cfg, drivers))
+        assert verify(built).passed
 
     def test_rebuild_is_identical(self, cfg24, set24):
         again = construct1(cfg24)

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,37 @@ def evaluate_c(k: int, index: MixedRadixIndex, params: Cons2Params, t: int) -> i
         raise ValueError(f"index has {len(index.a)} digits, construction uses {params.n}")
     e = sum(index.a) % params.d
     return pow(params.g, e, t) * (k + index.a[-1] + index.b0) % t
+
+
+def random_roster(gen, t):
+    """Strictly increasing demands with user counts whose load fits in t."""
+    levels, load, r = [], 0, 0
+    while True:
+        r += int(gen.integers(1, 4))
+        if load + r > t:
+            break
+        u = int(gen.integers(1, (t - load) // r + 1))
+        levels.append((r, u))
+        load += r * u
+        if gen.random() < 0.3:
+            break
+    return tuple(levels) or ((1, 1),)
+
+
+def assert_matches_evaluator(built, gen, samples=10):
+    """Every slot of ``samples`` random frames (and the first and last) of each
+    sequence equals the pointwise evaluator's value."""
+    cfg = built.config
+    params = cons2_params(cfg, n=built.provenance["params"]["n"],
+                          g=built.provenance["params"]["g"], d=built.provenance["params"]["d"])
+    frames = [0, built.length - 1, *gen.integers(0, built.length, size=samples).tolist()]
+    for s in built.sequences:
+        first_row = params.omega2[s.level] + s.user * s.slots_per_frame
+        for v in frames:
+            idx = MixedRadixIndex.from_value(v, d=params.d, n=params.n, t=cfg.t)
+            expected = [evaluate_c(first_row + col, idx, params, cfg.t)
+                        for col in range(s.slots_per_frame)]
+            assert s.frames[v].tolist() == expected, (s.level, s.user, v)
 
 
 def order_oracle(g, t):
@@ -256,6 +288,50 @@ class TestConstruct:
                 idx = MixedRadixIndex.from_value(int(v), d=4, n=2, t=8)
                 for col, k in enumerate(krows):
                     assert s.frames[int(v), col] == evaluate_c(k, idx, p, 8)
+
+    def test_matches_pointwise_evaluator_on_random_rosters(self):
+        gen = np.random.default_rng(20240817)
+        for _ in range(40):
+            t = int(gen.integers(2, 40))
+            units = [u for u in range(1, t) if math.gcd(u, t) == 1]
+            g = units[int(gen.integers(len(units)))]
+            n = int(gen.integers(1, 5))
+            # an explicit d (compat mode) need not be g's order
+            d = int(gen.integers(1, 9)) if gen.random() < 0.5 else None
+            cfg = SystemConfig(t=t, levels=random_roster(gen, t))
+            try:
+                built = construct2(cfg, n=n, g=g, d=d)
+            except ConfigError:
+                continue  # over the length guard
+            assert built.provenance["params"]["mode"] == ("true-order" if d is None else "compat")
+            assert_matches_evaluator(built, gen)
+
+    def test_unit_one_matches_pointwise_evaluator(self):
+        # g = 1 has order d = 1: one block of t frames
+        gen = np.random.default_rng(5)
+        cfg = SystemConfig(t=9, levels=((1, 2), (3, 2)))
+        built = construct2(cfg, n=3, g=1)
+        assert built.length == 9 and built.provenance["params"]["d"] == 1
+        assert_matches_evaluator(built, gen)
+
+    @pytest.mark.parametrize(
+        "t, levels, n, g",
+        [(211, ((1, 3), (5, 2)), 1, 2), (211, ((1, 1), (2, 4)), 1, 2), (11, ((1, 2), (3, 1)), 3, 2)],
+        ids=["n1-order210", "n1-one-large-sequence", "n3-order10"],
+    )
+    def test_table_never_outgrows_the_set(self, t, levels, n, g):
+        # with one round, a table keyed on (exponent, low digit) would hold
+        # d^2 = 44100 rows of t slots against the set's d = 210 blocks
+        cfg = SystemConfig(t=t, levels=levels)
+        tracemalloc.start()
+        try:
+            built = construct2(cfg, n=n, g=g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built.provenance["params"]["d"] == multiplicative_order(g, t)
+        assert peak < 2 * sum(s.frames.nbytes for s in built.sequences)
+        assert_matches_evaluator(built, np.random.default_rng(t))
 
     def test_verifies(self, set128, set32):
         assert verify(set128).passed

@@ -10,6 +10,7 @@ from hcskit import (
     dumps_document,
     verify,
 )
+from hcskit import verification
 from hcskit.verification import CheckResult, VerificationReport
 
 from conftest import remake_set, subsequences
@@ -461,6 +462,63 @@ class TestClaimGridMatchesReference:
         assert got["zero_correlation"]["detail"] == (
             f"level 0 user 1 run 0 and level 1 user 0 run 0 both claim slot {value} "
             "at position 4"
+        )
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100])
+class TestBlockedClaimCounts:
+    """The reference still holds when verify's claim blocks are a frame or a
+    few frames long, so block edges fall everywhere in the fixture sets."""
+
+    def test_planted_mutations(self, monkeypatch, cells, set24, set128, set32, set_c1_t8):
+        monkeypatch.setattr(verification, "CLAIM_BLOCK_CELLS", cells)
+        TestClaimGridMatchesReference().test_planted_mutations(set24, set128, set32, set_c1_t8)
+
+    def test_three_runs_on_one_slot(self, monkeypatch, cells, set24):
+        monkeypatch.setattr(verification, "CLAIM_BLOCK_CELLS", cells)
+        TestClaimGridMatchesReference().test_three_runs_on_one_slot(set24)
+
+    def test_out_of_range_in_a_later_block(self, monkeypatch, cells, set32):
+        # the reference covers in-range sets only: compare with one whole block
+        def mutate(index, frames):
+            if index == 2:
+                frames[30, 0] = 99
+
+        mutated = remake_set(set32, mutate)
+        whole = dumps_document(verify(mutated).to_dict())
+        monkeypatch.setattr(verification, "CLAIM_BLOCK_CELLS", cells)
+        got = verify(mutated).to_dict()
+        assert dumps_document(got) == whole
+        assert got["zero_correlation"]["detail"] == "set contains out-of-range slot values"
+
+
+class TestBlockEdges:
+    # set24 has t = k = 24, so 5 * 24 cells make blocks of frames 0-4, 5-9, ...
+    CELLS = 5 * 24
+
+    @staticmethod
+    def collide(hcs_set, frames):
+        """Copy of a saturated set where sequence 1 takes sequence 5's second
+        slot in each of ``frames``."""
+
+        def mutate(index, table):
+            if index == 1:
+                for f in frames:
+                    table[f, 0] = hcs_set.sequences[5].frames[f, 1]
+
+        return remake_set(hcs_set, mutate)
+
+    @pytest.mark.parametrize(
+        "first", [4, 5, 13], ids=["last-of-block", "first-of-block", "inside-later-block"]
+    )
+    def test_first_doubled_frame_is_the_witness(self, monkeypatch, set24, first):
+        monkeypatch.setattr(verification, "CLAIM_BLOCK_CELLS", self.CELLS)
+        mutated = self.collide(set24, [first, 21, 22, 143])
+        got = verify(mutated).to_dict()
+        assert dumps_document(got) == dumps_document(reference_verify(mutated).to_dict())
+        assert got["zero_correlation"]["detail"].endswith(f"at position {first}")
+        assert got["slot_coverage"]["detail"] == (
+            f"frame {first} does not cover every slot exactly once"
         )
 
 
