@@ -26,7 +26,14 @@ from math import factorial
 import numpy as np
 
 from . import rng
-from .core import ConfigError, HcsSequence, HcsSet, SystemConfig, check_instance
+from .core import (
+    ConfigError,
+    HcsSequence,
+    HcsSet,
+    SystemConfig,
+    check_instance,
+    check_items,
+)
 
 # 21! does not fit the 64-bit selector entries, so block counts keep the
 # permutation group at 20 elements or fewer.
@@ -163,25 +170,32 @@ def derive_drivers(config: SystemConfig, params: Cons1Params | None = None) -> D
     return DriverSequences(selector=selector, level_base=tuple(bases))
 
 
-def _check_drivers(drivers: DriverSequences, params: Cons1Params, length: int) -> None:
-    if drivers.selector.shape != (length,):
-        raise ConfigError(
-            f"selector stream must have {length} entries, got {drivers.selector.shape}"
-        )
-    mfact = factorial(params.m)
-    sel = np.asarray(drivers.selector, dtype=np.uint64)
-    if sel.size and int(sel.max()) >= mfact:
-        raise ConfigError(f"selector entries must lie in [0, {mfact})")
-    if len(drivers.level_base) != len(params.eta):
-        raise ConfigError(
-            f"expected {len(params.eta)} level base streams, got {len(drivers.level_base)}"
-        )
-    for i, (base, eta) in enumerate(zip(drivers.level_base, params.eta)):
-        b = np.asarray(base)
-        if b.shape != (length,):
-            raise ConfigError(f"level {i} base stream must have {length} entries")
-        if b.size and (int(b.min()) < 0 or int(b.max()) >= eta):
-            raise ConfigError(f"level {i} base entries must lie in [0, {eta})")
+def _driver_stream(stream, what: str, length: int, bound: int) -> np.ndarray:
+    """``stream`` as an array of ``length`` ints in [0, bound); ConfigError otherwise."""
+    arr = np.asarray(stream)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ConfigError(f"{what} stream must be an integer array, got dtype {arr.dtype}")
+    if arr.shape != (length,):
+        raise ConfigError(f"{what} stream must have {length} entries, got shape {arr.shape}")
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= bound):
+        raise ConfigError(f"{what} entries must lie in [0, {bound})")
+    return arr
+
+
+def _check_drivers(drivers, params: Cons1Params, length: int) -> DriverSequences:
+    """Injected ``drivers`` checked against the block parameters, selector as uint64."""
+    check_instance(drivers, DriverSequences, "drivers")
+    selector = _driver_stream(drivers.selector, "selector", length, factorial(params.m))
+    bases = check_items(drivers.level_base, "level base streams")
+    if len(bases) != len(params.eta):
+        raise ConfigError(f"expected {len(params.eta)} level base streams, got {len(bases)}")
+    return DriverSequences(
+        selector=selector.astype(np.uint64),
+        level_base=tuple(
+            _driver_stream(base, f"level {i} base", length, eta)
+            for i, (base, eta) in enumerate(zip(bases, params.eta))
+        ),
+    )
 
 
 def construct1(config: SystemConfig, drivers: DriverSequences | None = None) -> HcsSet:
@@ -197,10 +211,10 @@ def construct1(config: SystemConfig, drivers: DriverSequences | None = None) -> 
     if drivers is None:
         drivers = derive_drivers(config, params)
     else:
-        _check_drivers(check_instance(drivers, DriverSequences, "drivers"), params, length)
+        drivers = _check_drivers(drivers, params, length)
 
     m = params.m
-    perm_rows = unrank_permutations(np.asarray(drivers.selector, dtype=np.uint64), m)
+    perm_rows = unrank_permutations(drivers.selector, m)
     # each frame's permutation row twice over, so the position p + s of two
     # offsets p, s < m is read without a mod
     wide = np.concatenate([perm_rows, perm_rows], axis=1).ravel()
@@ -209,7 +223,7 @@ def construct1(config: SystemConfig, drivers: DriverSequences | None = None) -> 
     sequences = []
     for i, lv in enumerate(config.levels):
         eta = params.eta[i]
-        base = np.asarray(drivers.level_base[i], dtype=np.int64)
+        base = drivers.level_base[i].astype(np.int64, copy=False)
         users = np.arange(lv.u)
         # (user, frame) block of each user's run 0, shared by the users with
         # equal offset j % eta; run theta's block lies theta * eta further on

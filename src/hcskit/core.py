@@ -68,9 +68,9 @@ def check_items(value, what: str, error: type[Exception] = ConfigError) -> tuple
     raise error(f"{what} must be a list or tuple, got {value!r}")
 
 
-def check_instance(value, cls, what: str, error: type[Exception] = ConfigError):
+def check_instance(value, cls, what: str):
     """``value`` itself if it is an instance of ``cls`` (a class or a tuple of
-    them); ``error`` otherwise.
+    them); ConfigError otherwise.
 
     The sibling of check_int for the toolkit's object inputs, so a number or
     a None in place of a config, set or scheme is refused instead of failing
@@ -79,7 +79,7 @@ def check_instance(value, cls, what: str, error: type[Exception] = ConfigError):
     if isinstance(value, cls):
         return value
     names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
-    raise error(f"{what} must be a {names}, got {value!r}")
+    raise ConfigError(f"{what} must be a {names}, got {value!r}")
 
 
 def check_db(value, what: str) -> float:
@@ -213,7 +213,8 @@ class HcsSet:
 
     ``provenance`` records which construction produced the set and with what
     parameters; the verification module uses it to pick the right occupancy
-    expectation.  Sequences are kept sorted by (level, user) so positional
+    expectation, so the params of a c2 set must hold its d and n as
+    non-negative ints.  Sequences are kept sorted by (level, user) so positional
     sequence ids are stable across save/load.
     """
 
@@ -226,6 +227,11 @@ class HcsSet:
         check_instance(self.config, SystemConfig, "set config")
         check_int(self.length, "sequence length", positive=True)
         check_instance(self.provenance, dict, "provenance")
+        params = check_instance(self.provenance.get("params", {}), dict, "provenance params")
+        if self.provenance.get("kind") == "c2":
+            # verify reads each run's slot visits d**n off these two
+            for key in ("d", "n"):
+                check_int(params.get(key), f"c2 provenance param {key}")
         seqs = check_items(self.sequences, "sequences")
         for s in seqs:
             check_instance(s, HcsSequence, "sequence")

@@ -16,14 +16,19 @@ from hypothesis import strategies as st
 
 import hcskit
 from hcskit import (
+    DriverSequences,
     FixedScheme,
     HcsError,
+    HcsSet,
     SimConfig,
     SystemConfig,
+    construct1,
     construct2,
     save_set,
     to_document,
+    verify,
 )
+from hcskit.construction1 import derive_drivers
 
 SET = construct2(SystemConfig(t=8, levels=((1, 1), (3, 1), (4, 1))), n=2, g=3)
 SCHEME = FixedScheme((0, 1))
@@ -140,9 +145,91 @@ def test_fixed_hostile_values(calls, name):
             call_with(calls, name, param, value)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_only_contract_errors_escape(calls, data):
     name = data.draw(st.sampled_from(sorted(set(hcskit.__all__) - {"__version__"})))
     param = data.draw(st.sampled_from(sorted(calls[name]))) if name in calls else None
     call_with(calls, name, param, data.draw(NOT_STR if param == "path" else HOSTILE))
+
+
+C1_CONFIG = SystemConfig(t=8, levels=((4, 2),), seed=1105)
+C1_DRIVERS = derive_drivers(C1_CONFIG)
+
+
+def _set_with(provenance) -> HcsSet:
+    return HcsSet(config=SET.config, length=SET.length, sequences=SET.sequences,
+                  provenance=provenance)
+
+
+def _report_and_file(hcs_set, tmp_path) -> None:
+    verify(hcs_set)
+    save_set(hcs_set, tmp_path / "nested.json")
+
+
+# a hostile value placed inside an object that the called name accepts
+NESTED_SITES = {
+    "construct1-selector": lambda v, tmp: construct1(
+        C1_CONFIG, DriverSequences(selector=v, level_base=C1_DRIVERS.level_base)),
+    "construct1-level_base": lambda v, tmp: construct1(
+        C1_CONFIG, DriverSequences(selector=C1_DRIVERS.selector, level_base=v)),
+    "construct1-level_base-item": lambda v, tmp: construct1(
+        C1_CONFIG, DriverSequences(selector=C1_DRIVERS.selector, level_base=(v,))),
+    "provenance-kind": lambda v, tmp: _report_and_file(
+        _set_with({"kind": v, "params": {}}), tmp),
+    "provenance-params": lambda v, tmp: _report_and_file(
+        _set_with({"kind": "c2", "params": v}), tmp),
+    "provenance-params-d": lambda v, tmp: _report_and_file(
+        _set_with({"kind": "c2", "params": {"d": v, "n": 2}}), tmp),
+    "provenance-params-n": lambda v, tmp: _report_and_file(
+        _set_with({"kind": "c2", "params": {"d": 4, "n": v}}), tmp),
+    "provenance-params-seed": lambda v, tmp: _report_and_file(
+        _set_with({"kind": "c1", "params": {"seed": v}}), tmp),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NESTED_SITES))
+def test_nested_hostile_values(tmp_path, site):
+    for value in FIXED_HOSTILE:
+        try:
+            NESTED_SITES[site](value, tmp_path)
+        except (HcsError, ValueError):
+            pass
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(site=st.sampled_from(sorted(NESTED_SITES)), value=HOSTILE)
+def test_nested_contract_errors_escape(tmp_path_factory, site, value):
+    try:
+        NESTED_SITES[site](value, tmp_path_factory.mktemp("nested"))
+    except (HcsError, ValueError):
+        pass
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: construct1(C1_CONFIG, DriverSequences(selector=[0] * 32, level_base=None)),
+         "level base streams must be a list or tuple, got None"),
+        (lambda: construct1(C1_CONFIG, DriverSequences(selector=None, level_base=())),
+         "selector stream must be an integer array, got dtype object"),
+        (lambda: construct1(C1_CONFIG, DriverSequences(selector=[0.5] * 32, level_base=())),
+         "selector stream must be an integer array, got dtype float64"),
+        (lambda: construct1(C1_CONFIG, DriverSequences(selector=[-1] * 32, level_base=())),
+         "selector entries must lie in [0, 2)"),
+        (lambda: construct1(C1_CONFIG, DriverSequences(C1_DRIVERS.selector, ([0] * 31,))),
+         "level 0 base stream must have 32 entries, got shape (31,)"),
+        (lambda: _set_with({"kind": "c2", "params": None}),
+         "provenance params must be a dict, got None"),
+        (lambda: _set_with({"kind": "c2", "params": {"d": 4}}),
+         "c2 provenance param n must be a non-negative int, got None"),
+        (lambda: _set_with({"kind": "c2", "params": {"d": math.inf, "n": 2}}),
+         "c2 provenance param d must be a non-negative int, got inf"),
+    ],
+    ids=["level_base-None", "selector-None", "selector-float", "selector-negative",
+         "level_base-short", "params-None", "params-no-n", "params-d-inf"],
+)
+def test_nested_input_is_refused(call, message):
+    with pytest.raises(HcsError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
