@@ -6,7 +6,7 @@ sum(r_i * u_i) <= t; rosters meeting it with equality waste no capacity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .core import ConfigError, HcsError, SystemConfig, check_instance, check_int, check_items
@@ -28,13 +28,7 @@ class BoundReport:
         return self.slack >= 0
 
     def to_dict(self) -> dict:
-        return {
-            "load": self.load,
-            "capacity": self.capacity,
-            "slack": self.slack,
-            "feasible": self.feasible,
-            "optimal": self.optimal,
-        }
+        return {**asdict(self), "feasible": self.feasible}
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,9 @@ def enumerate_user_counts(
     level_values are the per-level slot demands (positive ints, strictly
     increasing); t is a positive int and cap an int >= 0.  Every tuple of
     non-negative counts u with sum(r_i * u_i) <= t is emitted, the
-    capacity-exact ones flagged optimal.  Raises EnumerationCapError once more
-    than ``cap`` tuples would be produced.
+    capacity-exact ones flagged optimal.  Raises EnumerationCapError, before
+    building the level that would pass it, when more than ``cap`` tuples would
+    be produced.
     """
     rv = tuple(
         check_int(r, "level value", positive=True)
@@ -77,24 +72,16 @@ def enumerate_user_counts(
     check_int(t, "frame size", positive=True)
     check_int(cap, "tuple cap")
 
-    out: list[UserCountTuple] = []
-
-    def rec(idx: int, prefix: tuple[int, ...], remaining: int) -> None:
-        r = rv[idx]
-        if idx == len(rv) - 1:
-            for u in range(remaining // r + 1):
-                if len(out) >= cap:
-                    raise EnumerationCapError(
-                        f"enumeration exceeds the cap of {cap} tuples; "
-                        f"raise the cap or narrow the level values"
-                    )
-                left = remaining - u * r
-                out.append(
-                    UserCountTuple(counts=prefix + (u,), load=t - left, optimal=left == 0)
-                )
-            return
-        for u in range(remaining // r + 1):
-            rec(idx + 1, prefix + (u,), remaining - u * r)
-
-    rec(0, (), t)
-    return out
+    # (counts, slots left) of every roster prefix, one level at a time; a
+    # prefix extends to at least one roster, so each level's count is capped
+    rows: list[tuple[tuple[int, ...], int]] = [((), t)]
+    for r in rv:
+        if sum(left // r + 1 for _, left in rows) > cap:
+            raise EnumerationCapError(
+                f"enumeration exceeds the cap of {cap} tuples; "
+                f"raise the cap or narrow the level values"
+            )
+        rows = [
+            (counts + (u,), left - u * r) for counts, left in rows for u in range(left // r + 1)
+        ]
+    return [UserCountTuple(counts=c, load=t - left, optimal=left == 0) for c, left in rows]

@@ -33,6 +33,7 @@ from .core import (
     SystemConfig,
     check_instance,
     check_items,
+    level_offsets,
 )
 
 # 21! does not fit the 64-bit selector entries, so block counts keep the
@@ -88,29 +89,22 @@ def cons1_params(config: SystemConfig) -> Cons1Params:
             raise ConfigError(
                 f"per-frame demand of level {i} ({lv.r}) must divide the largest demand {R}"
             )
-    if config.load > t:
-        raise ConfigError(
-            f"roster claims {config.load} slots per frame but the frame has only {t}"
-        )
+    offsets = level_offsets(config)
     m = t // R
     if m > MAX_GROUP_SIZE:
         raise ConfigError(
             f"block size t/R = {m} exceeds {MAX_GROUP_SIZE}: the permutation selector "
             f"alphabet ({m}!) would overflow 64-bit entries"
         )
-    eta = []
-    omega = []
-    prefix = 0
-    for i, lv in enumerate(config.levels):
+    for i, prefix in enumerate(offsets):
         if prefix % R != 0:
             raise ConfigError(
                 f"slot load of levels below level {i} ({prefix}) must be a multiple of "
                 f"the largest demand {R}"
             )
-        omega.append(prefix // R)
-        eta.append(R // lv.r)
-        prefix += lv.r * lv.u
-    return Cons1Params(R=R, m=m, eta=tuple(eta), omega=tuple(omega), seed=config.seed)
+    eta = tuple(R // lv.r for lv in config.levels)
+    omega = tuple(prefix // R for prefix in offsets)
+    return Cons1Params(R=R, m=m, eta=eta, omega=omega, seed=config.seed)
 
 
 def unrank_permutation(gamma: int, m: int) -> tuple[int, ...]:

@@ -32,7 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, HcsSequence, HcsSet, SystemConfig, check_instance, check_int
+from .core import (
+    ConfigError,
+    HcsSequence,
+    HcsSet,
+    SystemConfig,
+    check_instance,
+    check_int,
+    level_offsets,
+)
 
 # guard against accidental huge d^n * t allocations
 MAX_LENGTH = 20_000_000
@@ -85,10 +93,7 @@ def cons2_params(
     if t < 2:
         raise ConfigError(f"frame size must be at least 2, got {t}")
     check_int(n, "round count", positive=True)
-    if config.load > t:
-        raise ConfigError(
-            f"roster claims {config.load} slots per frame but the frame has only {t}"
-        )
+    omega2 = level_offsets(config)
     if g is None:
         if d is not None:
             raise ConfigError("an explicit exponent modulus d needs an explicit unit g")
@@ -101,18 +106,13 @@ def cons2_params(
             d = multiplicative_order(g, t)
         else:
             check_int(d, "exponent modulus", positive=True)
-    omega2 = []
-    prefix = 0
-    for lv in config.levels:
-        omega2.append(prefix)
-        prefix += lv.r * lv.u
     # d >= 2 doubles the length each round, so a long n fails before d**n is built
     if (d >= 2 and n >= MAX_LENGTH.bit_length()) or d**n * t > MAX_LENGTH:
         raise ConfigError(
             f"sequence length d^n*t = {d}^{n}*{t} exceeds the {MAX_LENGTH} guard; "
             f"pick fewer rounds or a smaller-order unit"
         )
-    return Cons2Params(g=g, d=d, n=n, omega2=tuple(omega2))
+    return Cons2Params(g=g, d=d, n=n, omega2=omega2)
 
 
 def construct2(

@@ -22,13 +22,14 @@ import numbers
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 FORMAT_VERSION = 1
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class HcsError(Exception):
@@ -174,6 +175,19 @@ class SystemConfig:
         return self.load == self.t
 
 
+def level_offsets(config: SystemConfig) -> tuple[int, ...]:
+    """Each level's first row: the slot load of the levels below it.
+
+    The constructions pack a roster onto consecutive rows, so they refuse
+    one whose load exceeds the frame here, with ConfigError.
+    """
+    if config.load > config.t:
+        raise ConfigError(
+            f"roster claims {config.load} slots per frame but the frame has only {config.t}"
+        )
+    return tuple(accumulate((lv.r * lv.u for lv in config.levels[:-1]), initial=0))
+
+
 @dataclass(frozen=True, eq=False)
 class HcsSequence:
     """One user's slot schedule: an (l, r) integer array, row per frame."""
@@ -188,6 +202,8 @@ class HcsSequence:
         arr = np.asarray(self.frames)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ConfigError(f"frames must be an integer array, got dtype {arr.dtype}")
+        if not np.can_cast(arr.dtype, np.int64) and arr.size and arr.max() > _INT64_MAX:
+            raise ConfigError(f"frames must fit in int64, got slot {int(arr.max())}")
         arr = np.ascontiguousarray(arr, dtype=np.int64)
         if arr.ndim != 2:
             raise ConfigError(f"frames must be a 2-D array, got shape {arr.shape}")

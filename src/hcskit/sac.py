@@ -46,6 +46,15 @@ class SacEvent:
         return dataclasses.asdict(self)
 
 
+def _check_call(user, frame, level=0, where: str = "") -> None:
+    """The rule for a user name, a frame and a join level, as a script entry
+    or a SacState call gives them; ValueError, its message led by ``where``."""
+    check_int(frame, f"{where}frame", error=ValueError)
+    if not isinstance(user, str):
+        raise ValueError(f"{where}user must be a name, got {user!r}")
+    check_int(level, f"{where}level", error=ValueError)
+
+
 def _frame_index(frame, join_frame: int, length: int, alignment: str):
     """Row of a holder's sequence table used in ``frame`` (an int or an array).
 
@@ -73,12 +82,11 @@ class SacState:
         self.sync_delay = sync_delay
         self.frame = 0
         self.events: list[SacEvent] = []
-        # sequence ids are positions in the set's (level, user)-sorted tuple
+        # sequence ids are positions in the set's (level, user)-sorted tuple,
+        # so each pool is filled in ascending order
         self.pools: list[list[int]] = [[] for _ in hcs_set.config.levels]
         for sid, s in enumerate(hcs_set.sequences):
             self.pools[s.level].append(sid)
-        for pool in self.pools:
-            pool.sort()
         self.queues: list[deque[str]] = [deque() for _ in hcs_set.config.levels]
         # each holder's grant: the event that gave it its sequence
         self.assignments: dict[str, SacEvent] = {}
@@ -114,8 +122,9 @@ class SacState:
 
     def request_access(self, user: str, level: int, frame: int) -> SacEvent:
         """Join request; returns the outcome event (assigned or queued)."""
+        _check_call(user, frame, level)
         self._advance(frame)
-        if not 0 <= level < self.hcs_set.config.num_levels:
+        if level >= self.hcs_set.config.num_levels:
             raise ValueError(f"unknown level {level}")
         if user in self.assignments:
             raise ValueError(f"user {user!r} already holds a sequence")
@@ -136,6 +145,7 @@ class SacState:
         A user still waiting leaves its level's queue; the released event
         then carries no sequence.
         """
+        _check_call(user, frame)
         self._advance(frame)
         grant = self.assignments.pop(user, None)
         if grant is None:
@@ -161,6 +171,7 @@ class SacState:
         per-user alignment starts each user at its own join frame.  Both wrap
         cyclically after the sequence length.
         """
+        _check_call(user, frame)
         grant = self.assignments.get(user)
         if grant is None:
             raise ValueError(f"user {user!r} holds no sequence")
@@ -198,14 +209,11 @@ def init(
 def _check_entry(entry, pos: int) -> None:
     if not isinstance(entry, dict):
         raise ValueError(f"script entry {pos}: expected an object, got {entry!r}")
-    check_int(entry.get("frame"), f"script entry {pos}: frame", error=ValueError)
     action = entry.get("action")
+    level = entry.get("level") if action == "join" else 0
+    _check_call(entry.get("user"), entry.get("frame"), level, f"script entry {pos}: ")
     if action not in ("join", "leave"):
         raise ValueError(f"script entry {pos}: unknown action {action!r}")
-    if not isinstance(entry.get("user"), str):
-        raise ValueError(f"script entry {pos}: user must be a name, got {entry.get('user')!r}")
-    if action == "join":
-        check_int(entry.get("level"), f"script entry {pos}: level", error=ValueError)
 
 
 def _holdings(state: SacState, end: int) -> list[list]:

@@ -21,6 +21,16 @@ from . import rng
 from .core import ConfigError, HcsSet, check_db, check_instance, check_int, check_items
 
 
+def _slot_numbers(slots, what: str, t: int | None = None) -> tuple[int, ...]:
+    """Distinct non-negative int slot numbers, each in [0, t) if t is given."""
+    slots = tuple(check_int(s, what) for s in check_items(slots, what + "s"))
+    if len(set(slots)) != len(slots):
+        raise ConfigError(f"{what}s must be distinct, got {slots}")
+    if t is not None and any(s >= t for s in slots):
+        raise ConfigError(f"{what}s must lie in [0, {t}), got {slots}")
+    return slots
+
+
 class _CycledScheme:
     def frame_slots(self, frames: int) -> np.ndarray:
         """Slot tuples of ``frames`` successive frames, cycling the slot table."""
@@ -35,20 +45,16 @@ class FixedScheme(_CycledScheme):
     slots: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        slots = tuple(check_int(s, "fixed slot") for s in check_items(self.slots, "fixed slots"))
-        object.__setattr__(self, "slots", slots)
-        if not slots:
+        object.__setattr__(self, "slots", _slot_numbers(self.slots, "fixed slot"))
+        if not self.slots:
             raise ConfigError("a scheme must use at least one slot per frame")
-        if len(set(slots)) != len(slots):
-            raise ConfigError(f"fixed slots must be distinct, got {slots}")
 
     @property
     def label(self) -> str:
         return "fixed[" + "-".join(str(s) for s in self.slots) + "]"
 
     def validate(self, t: int) -> None:
-        if any(not 0 <= s < t for s in self.slots):
-            raise ConfigError(f"fixed slots must lie in [0, {t}), got {self.slots}")
+        _slot_numbers(self.slots, "fixed slot", t)
 
     def cycle_slots(self) -> np.ndarray:
         """Slot table of one cycle: a single frame."""
@@ -100,17 +106,6 @@ class HcsScheme(_CycledScheme):
 Scheme = Union[FixedScheme, HcsScheme]
 
 
-def _interference_slots(slots: Sequence[int], t: int | None) -> tuple[int, ...]:
-    """Distinct non-negative int slot numbers, each in [0, t) if t is given."""
-    slots = check_items(slots, "interference slots")
-    slots = tuple(check_int(s, "interference slot") for s in slots)
-    if len(set(slots)) != len(slots):
-        raise ConfigError("interference slots must be distinct")
-    if t is not None and any(s >= t for s in slots):
-        raise ConfigError(f"interference slots must lie in [0, {t})")
-    return slots
-
-
 def _exposure(scheme: Scheme, interference_slots: Sequence[int], frames: int) -> tuple[int, int]:
     """(interfered, sent) slot counts over ``frames`` frames, counted per cycle:
     full cycles times one cycle's hits, plus the leading rows of the last one."""
@@ -137,7 +132,7 @@ class SimConfig:
         power = check_db(self.interference_power_db, "interference power")
         object.__setattr__(self, "interference_power_db", power)
         check_int(self.t, "frame size", positive=True)
-        slots = _interference_slots(self.interference_slots, self.t)
+        slots = _slot_numbers(self.interference_slots, "interference slot", self.t)
         object.__setattr__(self, "interference_slots", slots)
         if not self.snr_db:
             raise ConfigError("at least one SNR point is required")
@@ -185,7 +180,7 @@ def interference_hit_fraction(
     if t is not None:
         check_int(t, "frame size", positive=True)
         scheme.validate(t)
-    interference_slots = _interference_slots(interference_slots, t)
+    interference_slots = _slot_numbers(interference_slots, "interference slot", t)
     hit, sent = _exposure(scheme, interference_slots, frames)
     return hit / sent
 

@@ -115,15 +115,16 @@ def _block_shifts(widths: list[int], b: int, t: int) -> tuple[np.ndarray, np.nda
     return frame * t, (run - frame) * t
 
 
-def _claim_counts(hcs_set: HcsSet) -> tuple[np.ndarray, np.ndarray | None, np.ndarray] | None:
-    """(doubled, first_row, per_run), or None if the set holds a slot outside 0..t-1.
+def _claim_counts(hcs_set: HcsSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(doubled, outside, per_run) of a set's slots.
 
     ``doubled`` lists the frames where a slot is claimed more than once,
-    ascending; ``first_row`` holds the slot claim counts of the first of
-    them (None if there is none); ``per_run`` the (run, slot) visit counts.
-    Works one block of frames at a time: the block's slots are shifted to
-    claim cells for one bincount, then to visit cells for a bincount that
-    adds into the (k, t) visit counts, so no array grows with the set.
+    ``outside`` the frames holding a slot outside 0..t-1, both ascending;
+    ``per_run`` holds the (run, slot) visit counts.  Works one block of
+    frames at a time: the block's slots are shifted to claim cells for one
+    bincount, then to visit cells for a bincount that adds into the (k, t)
+    visit counts, so no array grows with the set.  An out-of-range slot has
+    no cell, so a block holding one leaves it out of both counts.
     """
     t = hcs_set.t
     length = hcs_set.length
@@ -133,7 +134,7 @@ def _claim_counts(hcs_set: HcsSet) -> tuple[np.ndarray, np.ndarray | None, np.nd
     step = frames_per_block(CLAIM_BLOCK_CELLS, max(k, t))
     per_run = np.zeros(k * t, dtype=np.int64)
     doubled = [np.empty(0, dtype=np.int64)]
-    first_row = None
+    outside = [np.empty(0, dtype=np.int64)]
     for lo in range(0, length, step):
         b = min(step, length - lo)
         if lo == 0 or b < step:
@@ -144,19 +145,18 @@ def _claim_counts(hcs_set: HcsSet) -> tuple[np.ndarray, np.ndarray | None, np.nd
         cells = np.concatenate(
             [np.empty(0, np.int64)] + [s.frames[lo : lo + b].ravel() for s in seqs]
         )
+        claim, visit = to_claim, to_visit
         if k and (cells.min() < 0 or cells.max() >= t):
-            return None
-        cells += to_claim
+            keep = (cells >= 0) & (cells < t)
+            outside.append(np.flatnonzero(np.bincount(to_claim[~keep] // t, minlength=b)) + lo)
+            cells, claim, visit = cells[keep], to_claim[keep], to_visit[keep]
+        cells += claim
         claims = np.bincount(cells, minlength=b * t)
         if claims.max() > 1:
-            claims = claims.reshape(b, t)
-            hit = np.flatnonzero(claims.max(axis=1) > 1)
-            if first_row is None:
-                first_row = claims[hit[0]]
-            doubled.append(hit + lo)
-        cells += to_visit
+            doubled.append(np.flatnonzero(claims.reshape(b, t).max(axis=1) > 1) + lo)
+        cells += visit
         per_run += np.bincount(cells, minlength=k * t)
-    return np.concatenate(doubled), first_row, per_run.reshape(k, t)
+    return np.concatenate(doubled), np.concatenate(outside), per_run.reshape(k, t)
 
 
 def verify(hcs_set: HcsSet) -> VerificationReport:
@@ -187,28 +187,27 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
     )
     expected: int | None = None
     uniformity = 0.0
-    grid = _claim_counts(hcs_set)
-    if grid is None:
-        frame_distinctness = _frame_distinctness(seqs, t, np.arange(length))
-        values = np.concatenate([s.frames.ravel() for s in seqs])
-        counts = np.bincount(values[(values >= 0) & (values < t)], minlength=t)
+    doubled, outside, per_run = _claim_counts(hcs_set)
+    counts = per_run.sum(axis=0)
+    # a slot repeated inside one frame of one sequence is a doubled claim,
+    # so only the doubled and the outside frames can fail frame_distinctness
+    # (a frame that is both is checked twice, to the same result)
+    rows = np.sort(np.concatenate([doubled, outside]))
+    frame_distinctness = _frame_distinctness(seqs, t, rows)
+    if outside.size:
         warnings.append("histogram ignores out-of-range slot values")
     else:
-        doubled, first_row, per_run = grid
-        counts = per_run.sum(axis=0)
         if k:
             uniformity = float(np.abs(per_run - length / t).max())
 
         # a doubled claim is an aligned agreement of two runs: nonzero
         # Hamming correlation at shift 0.  Witness: the lowest doubled slot
         # of the first such frame and the first two runs that hold it.
-        # a slot repeated inside one frame of one sequence is a doubled
-        # claim, so only the frames with one can fail frame_distinctness
-        frame_distinctness = _frame_distinctness(seqs, t, doubled)
         if doubled.size:
             f = int(doubled[0])
-            value = int(np.argmax(first_row > 1))
-            a, b = np.flatnonzero(np.concatenate([s.frames[f] for s in seqs]) == value)[:2]
+            row = np.concatenate([s.frames[f] for s in seqs])
+            value = int(np.argmax(np.bincount(row, minlength=t) > 1))
+            a, b = np.flatnonzero(row == value)[:2]
             zero_correlation = CheckResult(
                 False,
                 f"{_label(labels, a)} and {_label(labels, b)} both claim slot {value} "
@@ -233,13 +232,13 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
                     False, f"frame {int(doubled[0])} does not cover every slot exactly once"
                 )
         else:
-            # sub-saturated: no double-claims per frame is the applicable reading
-            dup_free = zero_correlation.passed and frame_distinctness.passed
+            # sub-saturated: no double-claims per frame is the applicable
+            # reading, and an in-range repeat inside a frame is a doubled claim
             slot_coverage = CheckResult(
-                dup_free,
-                "sub-saturated roster: no slot claimed twice in any frame"
-                if dup_free
-                else "a slot is claimed twice in some frame",
+                not doubled.size,
+                "a slot is claimed twice in some frame"
+                if doubled.size
+                else "sub-saturated roster: no slot claimed twice in any frame",
             )
 
     bound_report = check_bound(cfg)

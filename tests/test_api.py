@@ -1,5 +1,7 @@
 """The public surface is the one the README's "Python API" section lists,
-and every documented ``hcs`` command line still parses."""
+every documented ``hcs`` command line still parses, and the package imports
+only at module level."""
+import ast
 import importlib
 import re
 import shlex
@@ -52,3 +54,23 @@ def test_documented_commands_parse():
         assert commands
         for argv in commands:
             parser.parse_args(argv)
+
+
+def test_no_import_inside_a_function():
+    # an import run at call time binds whatever hcskit modules are loaded
+    # then: after a re-import, the objects made by the first import fail the
+    # isinstance checks against the classes of the second
+    found = []
+    for path in sorted(Path(hcskit.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(func):
+                dynamic = isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "__import__"
+                    or getattr(node.func, "attr", None) == "import_module"
+                )
+                if isinstance(node, (ast.Import, ast.ImportFrom)) or dynamic:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,20 @@ class TestEnumerate:
     def test_cap_guard(self):
         with pytest.raises(EnumerationCapError, match="cap of 10"):
             enumerate_user_counts(100, (1, 2), cap=10)
+
+    def test_cap_is_checked_before_a_level_is_built(self):
+        # a billion one-level rosters are counted, never listed
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match="cap of 1000 tuples"):
+                enumerate_user_counts(10**9, (1,), cap=1000)
+            with pytest.raises(EnumerationCapError, match="cap of 10124 tuples"):
+                enumerate_user_counts(48, (1, 2, 3, 6), cap=10124)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(enumerate_user_counts(48, (1, 2, 3, 6), cap=10125)) == 10125
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -82,6 +82,19 @@ class TestUsage:
         err = assert_usage_error(capsys, ["bound", "--t", "8", "--levels", "2:3:4"])
         assert err["message"].startswith("hcs bound: argument --levels: level spec '2:3:4'")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bound", "--t", "8", "--levels", "2:x"],
+             "hcs bound: argument --levels: level spec '2:x' is not numeric"),
+            (["enumerate", "--t", "8", "--r", "1,x"],
+             "hcs enumerate: argument --r: expected comma-separated integers, got '1,x'"),
+        ],
+        ids=["levels-not-numeric", "r-not-numeric"],
+    )
+    def test_malformed_list_values(self, capsys, argv, message):
+        assert assert_usage_error(capsys, argv)["message"] == message
+
     def test_version_exits_clean(self, capsys):
         assert dispatch(["--version"]) == 0
         captured = capsys.readouterr()
@@ -212,6 +225,13 @@ class TestBoundAndEnumerate:
         capsys.readouterr()
         assert json.loads(out.read_text())["slack"] == -4
 
+    def test_out_path_that_is_a_directory_exits_5(self, tmp_path, capsys):
+        code = dispatch(["bound", "--t", "8", "--levels", LEVELS8, "--out", str(tmp_path)])
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "io-error"
+
     def test_enumerate_csv_matches_library(self, tmp_path, capsys):
         out = tmp_path / "lattice.csv"
         assert dispatch(["enumerate", "--t", "24", "--r", "1,2,6", "--out", str(out)]) == 0
@@ -301,6 +321,19 @@ class TestVerify:
         manifest = read_manifest(report)
         assert manifest["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
         assert list(manifest["outputs"]) == [str(report)]
+
+    def test_warnings_print_as_note_lines(self, tmp_path, capsys):
+        path = self.make_set(tmp_path, capsys)
+        doc = json.loads(path.read_text())
+        doc["construction"]["kind"] = "mystery"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "note  unknown construction kind 'mystery': occupancy downgraded to within-set "
+            "uniformity",
+            f"PASS  {path}",
+        ]
 
     def test_missing_file_exits_5(self, capsys):
         assert dispatch(["verify", "/nonexistent/set.json"]) == 5
@@ -648,8 +681,10 @@ class TestSimulateAndCompare:
             ("0:1e6:1e-9", "SNR range '0:1e6:1e-9' has more than 10000 points"),
             ("0:10000:1", "SNR range '0:10000:1' has more than 10000 points"),
             ("1e300:1e300:1", "SNR range '1e300:1e300:1' has more than 10000 points"),
+            ("1:2", "expected start:stop:step or a comma list of dB values, got '1:2'"),
         ],
-        ids=["inf-stop", "overflow-stop", "nan-start", "tiny-step", "one-too-many", "stalled-step"],
+        ids=["inf-stop", "overflow-stop", "nan-start", "tiny-step", "one-too-many", "stalled-step",
+             "two-part-range"],
     )
     def test_snr_range_is_bounded(self, tmp_path, capsys, text, message):
         out = tmp_path / "o.csv"

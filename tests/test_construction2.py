@@ -128,6 +128,10 @@ class TestOrderAndGenerator:
         assert find_generator(5) == (2, 4)
         assert find_generator(12) == (5, 2)
 
+    def test_find_generator_needs_a_modulus_of_two(self):
+        with pytest.raises(ValueError, match="modulus must be at least 2, got 1"):
+            find_generator(1)
+
     def test_find_generator_is_smallest_of_max_order(self):
         for t in range(2, 31):
             g, d = find_generator(t)

@@ -307,6 +307,13 @@ class TestSlotTables:
         assert seq.frames.dtype == np.int64
         assert seq.frames.tolist() == [[3, 1]]
 
+    def test_unsigned_values_beyond_int64_refused(self):
+        with pytest.raises(ConfigError, match=f"frames must fit in int64, got slot {2**63}"):
+            HcsSequence(level=0, user=0, frames=np.array([[2**63, 1]], dtype=np.uint64))
+        top = np.array([[2**63 - 1, 1]], dtype=np.uint64)
+        assert HcsSequence(level=0, user=0, frames=top).frames.tolist() == [[2**63 - 1, 1]]
+        assert HcsSequence(level=0, user=0, frames=np.zeros((0, 2), np.uint64)).length == 0
+
 
 class TestFlatten:
     def test_every_pair_of_runs_is_collision_free(self, set24):
@@ -401,6 +408,16 @@ class TestDocuments:
             ),
             (lambda d: d["sequences"][0].update(level=9), "sequences[0].level"),
             (lambda d: d["sequences"].pop(), "sequences"),
+            (lambda d: d.update(construction=[]), "construction: expected an object"),
+            (
+                lambda d: d["levels"][1].update(r=1),
+                "levels: level slot demands must be strictly increasing, got [1, 1, 4]",
+            ),
+            (lambda d: d.update(sequences={}), "sequences: expected an array"),
+            (
+                lambda d: d["sequences"][0].update(user=5),
+                "sequences[0].user: 5 out of range for 1 users at level 0",
+            ),
         ],
     )
     def test_malformed_documents_name_the_spot(self, set128, breakage, location):

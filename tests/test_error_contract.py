@@ -1,7 +1,8 @@
 """Property test of the Python API's error contract.
 
-Every input-taking name in ``hcskit.__all__`` is called with one argument
-swapped for a hostile value (a bool, float, str, None, nested list, huge
+Every input-taking name in ``hcskit.__all__``, and each ``SacState`` method
+that takes a user or a frame, is called with one argument swapped for a
+hostile value (a bool, float, str, None, nested list, huge
 int, nan or inf) and the others valid.  Whatever the call does, only
 HcsError or ValueError may escape it.  A str is a valid path, so a path
 argument's hostile values are the others.  Records (plain dataclasses and
@@ -20,6 +21,7 @@ from hcskit import (
     FixedScheme,
     HcsError,
     HcsSet,
+    SacState,
     SimConfig,
     SystemConfig,
     construct1,
@@ -233,3 +235,67 @@ def test_nested_input_is_refused(call, message):
     with pytest.raises(HcsError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+# SacState methods, each called on a state where user "a" holds a sequence
+# from frame 0, with valid keyword arguments
+METHODS = {
+    "request_access": {"user": "b", "level": 1, "frame": 2},
+    "release": {"user": "a", "frame": 2},
+    "slots_for": {"user": "a", "frame": 2},
+}
+
+
+def call_method(method: str, param: str, value) -> None:
+    """Call a SacState method with ``param`` set to ``value``; only HcsError
+    or ValueError may escape."""
+    state = SacState(SET)
+    state.request_access("a", 0, 0)
+    try:
+        getattr(state, method)(**{**METHODS[method], param: value})
+    except (HcsError, ValueError):
+        pass
+
+
+@pytest.mark.parametrize(
+    "method, param", [(m, p) for m in sorted(METHODS) for p in sorted(METHODS[m])]
+)
+def test_sac_state_methods_keep_the_contract(method, param):
+    for value in FIXED_HOSTILE:
+        call_method(method, param, value)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_sac_state_methods_only_contract_errors_escape(data):
+    method = data.draw(st.sampled_from(sorted(METHODS)))
+    call_method(method, data.draw(st.sampled_from(sorted(METHODS[method]))), data.draw(HOSTILE))
+
+
+@pytest.mark.parametrize(
+    "method, kwargs, message",
+    [
+        ("request_access", {"user": "b", "level": 1.5, "frame": 2},
+         "level must be a non-negative int, got 1.5"),
+        ("request_access", {"user": "b", "level": True, "frame": 2},
+         "level must be a non-negative int, got True"),
+        ("request_access", {"user": "b", "level": 0, "frame": True},
+         "frame must be a non-negative int, got True"),
+        ("request_access", {"user": 7, "level": 0, "frame": 2}, "user must be a name, got 7"),
+        ("release", {"user": ["a"], "frame": 2}, "user must be a name, got ['a']"),
+        ("release", {"user": "a", "frame": "2"}, "frame must be a non-negative int, got '2'"),
+        ("slots_for", {"user": "a", "frame": 2.5}, "frame must be a non-negative int, got 2.5"),
+        ("slots_for", {"user": "a", "frame": -1}, "frame must be a non-negative int, got -1"),
+    ],
+    ids=["level-float", "level-bool", "frame-bool", "user-int", "release-user-list",
+         "release-frame-str", "slots_for-frame-float", "slots_for-frame-negative"],
+)
+def test_sac_state_method_input_is_refused(method, kwargs, message):
+    state = SacState(SET)
+    state.request_access("a", 0, 0)
+    events = list(state.events)
+    with pytest.raises(ValueError) as excinfo:
+        getattr(state, method)(**kwargs)
+    assert str(excinfo.value) == message
+    # a refused call leaves the state as it was
+    assert state.events == events and state.frame == 0

@@ -291,6 +291,21 @@ class TestRunScript:
         ]
         assert list(audit) == want
 
+    @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
+    def test_quiet_blocks_between_holdings(self, set24, monkeypatch, alignment):
+        # one audit block is two frames at load 24: the holdings of frames
+        # 0-2 and 9-10 leave the blocks of frames 4-5 and 6-7 without one
+        monkeypatch.setattr(sac, "AUDIT_BLOCK_ROWS", 2 * 24)
+        script = [
+            {"frame": 0, "action": "join", "user": "A", "level": 1},
+            {"frame": 3, "action": "leave", "user": "A"},
+            {"frame": 9, "action": "join", "user": "B", "level": 2},
+            {"frame": 11, "action": "leave", "user": "B"},
+        ]
+        _, audit, collisions = sac.run_script(set24, script, alignment=alignment)
+        assert (list(audit), collisions) == reference_audit(set24, script, alignment)
+        assert sorted({row[0] for row in audit}) == [0, 1, 2, 9, 10]
+
     def test_audit_holds_plain_values(self, set24):
         gen = np.random.default_rng(31)
         script = random_script(gen, set24, frames=200)

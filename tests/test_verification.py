@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,21 @@ class TestCleanSets:
         assert report.occupancy_counts == (0,) * 6
 
 
+    def test_empty_roster_of_unknown_kind(self):
+        empty = HcsSet(
+            config=SystemConfig(t=6, levels=((2, 0),)),
+            length=12,
+            sequences=(),
+            provenance={"kind": "mystery", "params": {}},
+        )
+        report = verify(empty)
+        assert report.passed
+        assert report.occupancy == CheckResult(True, "empty roster")
+        assert report.warnings == (
+            "unknown construction kind 'mystery': occupancy downgraded to within-set uniformity",
+        )
+
+
 class TestPlantedMutations:
     def test_single_symbol_change(self, set24):
         def mutate(index, frames):
@@ -554,6 +571,91 @@ class TestOutOfRange:
         )
         with pytest.raises(ValueError, match="too large to verify"):
             verify(huge)
+
+
+def plant_out_of_range(hcs_set, gen):
+    """Copy of a set with in-range mutations plus one to three slots set to
+    -5, -1, t or t + 7; a third of the copies lose their construction kind."""
+    mutated = plant_mutations(hcs_set, gen)
+    t, length = hcs_set.t, hcs_set.length
+    plan = [
+        (int(gen.integers(len(hcs_set.sequences))), int(gen.integers(length)),
+         int(gen.integers(8)), (-5, -1, t, t + 7)[int(gen.integers(4))])
+        for _ in range(int(gen.integers(1, 4)))
+    ]
+
+    def mutate(index, frames):
+        for i, f, col, value in plan:
+            if index == i:
+                frames[f, col % frames.shape[1]] = value
+
+    mutated = remake_set(mutated, mutate)
+    if gen.integers(3) == 0:
+        mutated = HcsSet(config=mutated.config, length=length, sequences=mutated.sequences,
+                         provenance={"kind": "mystery"})
+    return mutated
+
+
+def whole_set_out_of_range_report(hcs_set) -> dict:
+    """What verify reports for a set holding an out-of-range slot, from the
+    whole set at once: the reference's frame_distinctness and histogram, and
+    the three grid gates failed with one fixed detail."""
+    doc = reference_verify(hcs_set).to_dict()
+    doc["zero_correlation"] = {"passed": False, "detail": "set contains out-of-range slot values"}
+    return doc
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100, verification.CLAIM_BLOCK_CELLS])
+def test_out_of_range_sets_match_whole_set_report(monkeypatch, cells, set24, set128, set32,
+                                                   set_c1_t8):
+    monkeypatch.setattr(verification, "CLAIM_BLOCK_CELLS", cells)
+    gen = np.random.default_rng(20261018)
+    for hcs_set in (set24, set128, set32, set_c1_t8):
+        for _ in range(25):
+            mutated = plant_out_of_range(hcs_set, gen)
+            got = verify(mutated).to_dict()
+            assert dumps_document(got) == dumps_document(whole_set_out_of_range_report(mutated))
+            assert got["warnings"] == ["histogram ignores out-of-range slot values"]
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100])
+def test_claim_counts_list_outside_frames(monkeypatch, cells, set32):
+    def mutate(index, frames):
+        if index == 0:
+            frames[[3, 30], 0] = (-1, 99)
+        if index == 2:
+            frames[[17, 30], 3] = (8, 8)
+
+    monkeypatch.setattr(verification, "CLAIM_BLOCK_CELLS", cells)
+    mutated = remake_set(set32, mutate)
+    doubled, outside, per_run = verification._claim_counts(mutated)
+    assert outside.tolist() == [3, 17, 30]
+    assert doubled.tolist() == []
+    # the visit counts hold the in-range slots only
+    assert per_run.sum() == 8 * mutated.length - 4
+
+
+def test_out_of_range_verify_memory_is_bounded():
+    # 262144 frames of 16 slots; the whole-set fallback this replaces peaked
+    # near 71 MB on this set, the blocked pass stays near its clean 3 MB
+    built = construct2(SystemConfig(t=16, levels=((1, 2), (2, 3), (4, 2))), n=7, g=3)
+
+    def mutate(index, frames):
+        if index == 3:
+            frames[200_000, 1] = 99
+
+    mutated = remake_set(built, mutate)
+    tracemalloc.start()
+    try:
+        report = verify(mutated)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.zero_correlation.detail == "set contains out-of-range slot values"
+    assert report.frame_distinctness.detail == (
+        "level 1 user 1 frame 200000 holds out-of-range slot 99"
+    )
+    assert peak < 10 * 2**20
 
 
 class TestC2Provenance:
