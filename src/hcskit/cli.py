@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import io
 import json
@@ -422,6 +423,7 @@ def _add_sim_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of the hcs command, built anew."""
     parser = _Parser(
         prog="hcs",
         description="Generate, check, trace, and simulate multi-level slot access sequences.",
@@ -494,10 +496,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parse_args keeps no state in
+    the parser, and a pipeline parses every stage."""
+    return build_parser()
+
+
 def _run(argv: list[str]) -> int:
     """Parse and run one invocation, then write its manifest; raises _Failure if it fails."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit:
         # --help or --version: argparse has printed it
         return EXIT_OK

@@ -16,10 +16,12 @@ the constructions that emit them and re-checked by the verification module.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain
@@ -309,8 +311,8 @@ def hamming_correlation(x: Sequence[int], y: Sequence[int], tau: int = 0) -> int
 # interchange documents
 
 
-def to_document(hcs_set: HcsSet) -> dict:
-    """Plain-JSON document for a sequence set (schema format_version 1)."""
+def _document_head(hcs_set: HcsSet) -> dict:
+    """The document of a set without its sequences."""
     cfg = check_instance(hcs_set, HcsSet, "set").config
     return {
         "format_version": FORMAT_VERSION,
@@ -322,15 +324,21 @@ def to_document(hcs_set: HcsSet) -> dict:
             "kind": hcs_set.provenance.get("kind", "unknown"),
             "params": dict(hcs_set.provenance.get("params", {})),
         },
-        "sequences": [
-            {
-                "level": s.level,
-                "user": s.user,
-                "frames": s.frames.tolist(),
-            }
-            for s in hcs_set.sequences
-        ],
     }
+
+
+def to_document(hcs_set: HcsSet) -> dict:
+    """Plain-JSON document for a sequence set (schema format_version 1)."""
+    doc = _document_head(hcs_set)
+    doc["sequences"] = [
+        {
+            "level": s.level,
+            "user": s.user,
+            "frames": s.frames.tolist(),
+        }
+        for s in hcs_set.sequences
+    ]
+    return doc
 
 
 def _need(doc: dict, key: str, where: str):
@@ -363,16 +371,9 @@ def _flat_slots(frames: list, r: int, where: str) -> list:
     return list(chain.from_iterable(frames))
 
 
-def from_document(doc) -> HcsSet:
-    """Parse an interchange document; raises SchemaError naming the bad spot.
-
-    Structural validity only: counts, shapes, and types are enforced here
-    (integer keys follow ``check_int``: t, lambda, each r and length must be
-    ints >= 1, the rest, a c2 set's params d and n and a seed if present
-    included, ints >= 0; slots must fit in int64), while semantic slot
-    properties (range, collisions, occupancy) are the verification module's
-    job so that corrupted-but-well-formed sets can be loaded and diagnosed.
-    """
+def _document_config(doc) -> tuple[SystemConfig, int, dict]:
+    """The config, length and provenance of an interchange document: every
+    key but ``sequences`` checked, in from_document's order."""
     if not isinstance(doc, dict):
         raise SchemaError(f"document root: expected an object, got {type(doc).__name__}")
     version = _schema_int(_need(doc, "format_version", "document root"), "format_version")
@@ -414,7 +415,20 @@ def from_document(doc) -> HcsSet:
         config = SystemConfig(t=t, levels=tuple(levels), seed=seed)
     except ConfigError as exc:
         raise SchemaError(f"levels: {exc}") from exc
+    return config, length, {"kind": kind, "params": params}
 
+
+def from_document(doc) -> HcsSet:
+    """Parse an interchange document; raises SchemaError naming the bad spot.
+
+    Structural validity only: counts, shapes, and types are enforced here
+    (integer keys follow ``check_int``: t, lambda, each r and length must be
+    ints >= 1, the rest, a c2 set's params d and n and a seed if present
+    included, ints >= 0; slots must fit in int64), while semantic slot
+    properties (range, collisions, occupancy) are the verification module's
+    job so that corrupted-but-well-formed sets can be loaded and diagnosed.
+    """
+    config, length, provenance = _document_config(doc)
     raw_seqs = _need(doc, "sequences", "document root")
     if not isinstance(raw_seqs, list):
         raise SchemaError("sequences: expected an array")
@@ -451,7 +465,7 @@ def from_document(doc) -> HcsSet:
             config=config,
             length=length,
             sequences=tuple(sequences),
-            provenance={"kind": kind, "params": params},
+            provenance=provenance,
         )
     except ConfigError as exc:
         raise SchemaError(str(exc)) from exc
@@ -464,21 +478,204 @@ def write_text(path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def save_set(hcs_set: HcsSet, path) -> None:
-    write_text(path, dumps_document(to_document(hcs_set)))
+# ---------------------------------------------------------------------------
+# canonical set files
+#
+# A set file is dumps_document(to_document(s)): sorted keys put "sequences"
+# last but for "t", and each sequence is {"frames":[[...],...],"level":L,"user":U}.
+# save_set writes that text straight from the int64 tables and load_set reads
+# it back in numpy, so neither builds a Python int per slot.
+
+# 10, 100, ..., 10**19: a magnitude has one digit more than the powers it reaches
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+# values a writing pass takes, so its int64 scratch stays near 256 KiB however
+# long the set; a reading pass takes four times as many bytes of text
+_BLOCK = 1 << 15
+_SEQUENCES_KEY = b',"sequences":['
+_T_KEY = b'],"t":'
+_T_TAIL = re.compile(rb'\],"t":([1-9][0-9]{0,17})\}\n')
 
 
-def read_json(path):
-    """The document in a JSON file; SchemaError, naming the path, if it is not one.
+def _tables_bytes(tables: Sequence[np.ndarray], seps: Sequence[str]) -> bytes:
+    """``seps[0] + T0 + seps[1] + T1 + ... + seps[-1]`` as ASCII, where ``Ti``
+    is ``json.dumps(tables[i].tolist(), separators=(",", ":"))``.
 
-    Every JSON input of the toolkit (set files, sac scripts, pipeline plans)
-    is read here, so they all refuse the same things: malformed JSON, bytes
-    that are not UTF-8, integers beyond Python's digit limit and nesting too
-    deep to parse.
+    ``tables`` are int64 arrays of shape (l, r) with l, r >= 1 and ``seps``
+    ASCII strings, one more than the tables.  Every value's sign, magnitude
+    and text width go into flat arrays first; then the values are written
+    ``_BLOCK`` at a time into one byte buffer: their places from a cumulative
+    sum of the widths, then one scatter per decimal place.
     """
-    check_instance(path, (str, os.PathLike), "path")
+    if not tables:
+        return seps[0].encode("ascii")
+    heads = [(("]]" if i else "") + sep + "[[").encode("ascii") for i, sep in enumerate(seps[:-1])]
+    tail = ("]]" + seps[-1]).encode("ascii")
+    top = max(max(int(a.max()), -int(a.min())) for a in tables)
+    count = sum(a.size for a in tables)
+    # slots below t mostly fit a uint8 or uint16, where the passes run faster
+    mag = np.empty(count, np.min_scalar_type(top))
+    negative = np.empty(count, bool)
+    # the text before a value: "," inside a row, "],[" before a row, and a
+    # table's head, written apart, before its first value
+    gap = np.ones(count, np.uint8)
+    firsts = []
+    pos = 0
+    for a in tables:
+        flat = a.ravel()
+        np.less(flat, 0, out=negative[pos:pos + flat.size])
+        mag[pos:pos + flat.size] = flat  # wraps; the negation below takes it back
+        gap[pos:pos + flat.size:a.shape[1]] = 3
+        gap[pos] = 0
+        firsts.append(pos)
+        pos += flat.size
+    np.negative(mag, out=mag, where=negative)
+    width = negative.view(np.uint8) + np.uint8(1)  # sign and digits
+    for power in _POW10[_POW10 <= top]:
+        width += mag >= mag.dtype.type(power)
+    lens = gap + width
+    total = int(lens.sum(dtype=np.int64)) + sum(map(len, heads)) + len(tail)
+    buf = np.full(total, ord(","), np.uint8)
+    pending = list(zip(firsts, heads))
+    end = 0
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        last = lens[lo:hi].astype(np.int64)
+        here = []
+        while pending and pending[0][0] < hi:
+            first, head = pending.pop(0)
+            here.append((first - lo, head))
+            last[first - lo] += len(head)
+        np.cumsum(last, out=last)
+        last += end - 1
+        w = width[lo:hi]
+        for j, head in here:
+            pos = int(last[j]) - int(w[j]) + 1 - len(head)
+            buf[pos:pos + len(head)] = np.frombuffer(head, np.uint8)
+        rows = np.flatnonzero(gap[lo:hi] == 3)
+        at = last[rows] - w[rows]
+        buf[at - 2] = ord("]")
+        buf[at] = ord("[")
+        at = np.flatnonzero(negative[lo:hi])
+        buf[last[at] - w[at] + 1] = ord("-")
+        end = int(last[-1]) + 1
+        at, m = last, mag[lo:hi]
+        while True:
+            buf[at] = m % 10 + ord("0")
+            m = m // 10
+            more = np.flatnonzero(m)
+            if not more.size:
+                break
+            at, m = at[more] - 1, m[more]
+    buf[end:] = np.frombuffer(tail, np.uint8)
+    return buf.tobytes()
+
+
+def _canonical_bytes(hcs_set: HcsSet) -> bytes:
+    """``dumps_document(to_document(hcs_set))`` as ASCII, written from the int64 tables."""
+    head = _document_head(hcs_set)
+    t = head.pop("t")
+    # the head's text less its closing brace, then the two keys that sort last
+    text = json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"sequences":['
+    end = '],"t":%d}\n' % t
+    seqs = hcs_set.sequences
+    if not seqs:
+        return (text + end).encode("ascii")
+    marks = [',"level":%d,"user":%d}' % (s.level, s.user) for s in seqs]
+    seps = [text + '{"frames":'] + [m + ',{"frames":' for m in marks[:-1]] + [marks[-1] + end]
+    return _tables_bytes([s.frames for s in seqs], seps)
+
+
+def _decimal_ints(text: np.ndarray, count: int) -> np.ndarray | None:
+    """The ``count`` runs of ASCII digits in ``text``, each with a '-' just
+    before it taken as its sign, as int64; None if there are more or fewer,
+    a run is longer than 19 digits, or ``text`` starts or ends with a digit,
+    which no set's sequences do.
+
+    Runs of 19 digits beyond int64 wrap; callers that re-encode what they
+    parsed see that as a mismatch.
+    """
+    size = len(text)
+    # a run takes a byte at least: a huge count from a hostile head stays cheap
+    if count > size or size and (48 <= text[0] <= 57 or 48 <= text[-1] <= 57):
+        return None
+    numbers = np.empty(count, np.int64)
+    filled = lo = 0
+    while lo < size - 1:
+        hi = min(lo + 4 * _BLOCK, size - 1)
+        while 48 <= text[hi] <= 57:
+            hi += 1
+        # text[lo] and text[hi] are not digits, so the block cuts no run
+        block = text[lo:hi + 1]
+        digit = block - np.uint8(ord("0"))
+        is_digit = digit < 10
+        edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
+        edges += 1
+        starts, counts = edges[0::2], edges[1::2] - edges[0::2]
+        if filled + starts.size > count or (starts.size and counts.max() > 19):
+            return None
+        value = digit[starts].astype(np.uint64)
+        for place in range(1, int(counts.max(initial=0))):
+            live = np.flatnonzero(counts > place)
+            value[live] = value[live] * np.uint64(10) + digit[starts[live] + place]
+        signed = value.view(np.int64)
+        negative = np.flatnonzero(block[starts - 1] == ord("-"))
+        signed[negative] = -signed[negative]
+        numbers[filled:filled + starts.size] = signed
+        filled += starts.size
+        lo = hi
+    return numbers if filled == count else None
+
+
+def _load_canonical(data: bytes) -> HcsSet | None:
+    """The set whose canonical text is exactly ``data``, or None.
+
+    The head before ``"sequences"`` goes through ``json.loads`` and the
+    header checks of from_document; the slots are every integer after it, in
+    roster order.  The set is returned only if re-encoding it gives ``data``
+    back byte for byte, so any text this parse misreads returns None.
+    """
+    cut, end = data.rfind(_SEQUENCES_KEY), data.rfind(_T_KEY)
+    start = cut + len(_SEQUENCES_KEY)
+    tail = _T_TAIL.fullmatch(data, end) if 0 <= cut and start <= end else None
+    if tail is None:
+        return None
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        # text that ends in "}" is an object, if it is JSON at all
+        doc = json.loads(data[:cut] + b"}")
+        doc["t"] = int(tail[1])
+        config, length, provenance = _document_config(doc)
+    except (ValueError, RecursionError):
+        # malformed JSON or UTF-8, Python's int digit limit or a SchemaError
+        return None
+    # each sequence's slots, then its level and user
+    count = sum(lv.u * (length * lv.r + 2) for lv in config.levels)
+    numbers = _decimal_ints(np.frombuffer(data, np.uint8, end - start, start), count)
+    if numbers is None:
+        return None
+    sequences, at = [], 0
+    for i, lv in enumerate(config.levels):
+        for j in range(lv.u):
+            table = numbers[at:at + length * lv.r].reshape(length, lv.r)
+            sequences.append(HcsSequence(level=i, user=j, frames=table))
+            at += length * lv.r + 2
+    hcs_set = HcsSet(config=config, length=length, sequences=tuple(sequences), provenance=provenance)
+    try:
+        same = _canonical_bytes(hcs_set) == data
+    except RecursionError:
+        # params nested about as deep as json.loads reads need more to write
+        return None
+    return hcs_set if same else None
+
+
+def save_set(hcs_set: HcsSet, path) -> None:
+    """Write ``dumps_document(to_document(hcs_set))`` to path, from the int64 tables."""
+    write_text(path, _canonical_bytes(hcs_set).decode("ascii"))
+
+
+def _parse_json(path, data: bytes):
+    """The document in a JSON file's bytes, decoded as ``Path.read_text`` would."""
+    try:
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -490,8 +687,25 @@ def read_json(path):
         raise SchemaError(f"{path}: JSON beyond the parser's limits: {exc}") from exc
 
 
+def read_json(path):
+    """The document in a JSON file; SchemaError, naming the path, if it is not one.
+
+    Every JSON input of the toolkit (set files, sac scripts, pipeline plans)
+    is read here, so they all refuse the same things: malformed JSON, bytes
+    that are not UTF-8, integers beyond Python's digit limit and nesting too
+    deep to parse.
+    """
+    check_instance(path, (str, os.PathLike), "path")
+    return _parse_json(path, Path(path).read_bytes())
+
+
 def load_set(path) -> HcsSet:
-    return from_document(read_json(path))
+    """The set in a file: a canonical file is read in numpy, any other text
+    as ``from_document(read_json(path))``, with the same result or error."""
+    check_instance(path, (str, os.PathLike), "path")
+    data = Path(path).read_bytes()
+    hcs_set = _load_canonical(data)
+    return from_document(_parse_json(path, data)) if hcs_set is None else hcs_set
 
 
 def dumps_document(obj) -> str:

@@ -99,12 +99,11 @@ class SacState:
 
     # -- internals ---------------------------------------------------------
 
-    def _advance(self, frame: int) -> None:
+    def _check_order(self, frame: int) -> None:
         if frame < self.frame:
             raise ValueError(
                 f"events must arrive in frame order: got frame {frame} after {self.frame}"
             )
-        self.frame = frame
 
     def _pick(self, pool: list[int]) -> int:
         if self._rng is None:
@@ -121,15 +120,19 @@ class SacState:
     # -- operations --------------------------------------------------------
 
     def request_access(self, user: str, level: int, frame: int) -> SacEvent:
-        """Join request; returns the outcome event (assigned or queued)."""
+        """Join request; returns the outcome event (assigned or queued).
+
+        A refused request leaves the state, its clock included, as it was.
+        """
         _check_call(user, frame, level)
-        self._advance(frame)
+        self._check_order(frame)
         if level >= self.hcs_set.config.num_levels:
             raise ValueError(f"unknown level {level}")
         if user in self.assignments:
             raise ValueError(f"user {user!r} already holds a sequence")
         if any(user in q for q in self.queues):
             raise ValueError(f"user {user!r} is already waiting")
+        self.frame = frame
         self._log(frame, "join-request", user, level)
         pool = self.pools[level]
         if pool:
@@ -143,17 +146,20 @@ class SacState:
         """Leave; frees the sequence and grants it to the queue head, if any.
 
         A user still waiting leaves its level's queue; the released event
-        then carries no sequence.
+        then carries no sequence.  A refused release leaves the state, its
+        clock included, as it was.
         """
         _check_call(user, frame)
-        self._advance(frame)
+        self._check_order(frame)
         grant = self.assignments.pop(user, None)
         if grant is None:
             for level, queue in enumerate(self.queues):
                 if user in queue:
+                    self.frame = frame
                     queue.remove(user)
                     return [self._log(frame, "released", user, level)]
             raise ValueError(f"user {user!r} holds no sequence and is not waiting")
+        self.frame = frame
         level, sid = grant.level, grant.sequence
         out = [self._log(frame, "released", user, level, sid)]
         if self.queues[level]:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hcskit import check_bound, enumerate_user_counts, load_set, run_script, SystemConfig
+from hcskit import cli
 from hcskit.cli import MAX_SNR_POINTS, _csv_text, _parse_snr, dispatch
 
 LEVELS24 = "2:3,3:4,6:1"
@@ -104,6 +105,27 @@ class TestUsage:
         assert dispatch(["gen1", "--help"]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: hcs gen1") and captured.err == ""
+
+    def test_consecutive_invocations_parse_independently(self, tmp_path, capsys):
+        # the parser is built once per process; no option of one invocation,
+        # refused or not, shows up in the next
+        assert cli._parser() is cli._parser()
+        bound8, bound24, lattice = tmp_path / "b8.json", tmp_path / "b24.json", tmp_path / "l.csv"
+        assert dispatch(["bound", "--t", "8", "--levels", LEVELS8, "--out", str(bound8)]) == 0
+        capsys.readouterr()
+        assert_usage_error(capsys, ["enumerate", "--t", "8", "--r", "1,x"])
+        assert dispatch(["enumerate", "--t", "8", "--r", "1,3,4", "--out", str(lattice)]) == 0
+        assert dispatch(["bound", "--t", "24", "--levels", LEVELS24, "--out", str(bound24)]) == 0
+        assert read_manifest(bound8)["parameters"] == {
+            "levels": [[1, 1], [3, 1], [4, 1]], "out": str(bound8), "subcommand": "bound", "t": 8,
+        }
+        assert read_manifest(lattice)["parameters"] == {
+            "max_tuples": 10_000_000, "out": str(lattice), "r": [1, 3, 4],
+            "subcommand": "enumerate", "t": 8,
+        }
+        assert read_manifest(bound24)["parameters"] == {
+            "levels": [[2, 3], [3, 4], [6, 1]], "out": str(bound24), "subcommand": "bound", "t": 24,
+        }
 
     def test_simulate_scheme_flags_exclusive(self, capsys, tmp_path):
         code = dispatch(

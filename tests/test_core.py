@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hcskit import (
     ConfigError,
@@ -15,6 +18,7 @@ from hcskit import (
     SimConfig,
     SystemConfig,
     construct2,
+    dumps_document,
     enumerate_user_counts,
     from_document,
     hamming_correlation,
@@ -26,8 +30,9 @@ from hcskit import (
     verify,
 )
 from hcskit.construction2 import cons2_params
+from hcskit.core import _load_canonical, _tables_bytes
 
-from conftest import subsequences
+from conftest import remake_set, subsequences
 
 
 def brute_hamming(x, y, tau):
@@ -524,6 +529,90 @@ class TestDocuments:
         with pytest.raises(SchemaError) as err:
             from_document(doc)
         assert str(err.value) == message
+
+
+# every digit-count boundary of int64, both signs, and its two ends
+DIGIT_EDGES = sorted(
+    {sign * v for k in range(19) for v in (10**k - 1, 10**k, 10**k + 1) for sign in (1, -1)}
+    | {-(2**63), 2**63 - 1}
+)
+INT64_TABLES = hnp.arrays(
+    np.int64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+    elements=st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(DIGIT_EDGES)),
+)
+
+
+def _plant(values):
+    """Write ``values`` over the first slots of every sequence's first frame."""
+
+    def mutate(index, frames):
+        frames.flat[: len(values)] = values[: frames.size]
+
+    return mutate
+
+
+class TestCanonicalSetFiles:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(tables=st.lists(INT64_TABLES, min_size=1, max_size=3), data=st.data())
+    def test_tables_bytes_is_json_of_the_lists(self, tables, data):
+        assert _tables_bytes(tables[:1], ["", ""]).decode() == json.dumps(
+            tables[0].tolist(), separators=(",", ":")
+        )
+        ascii_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4)
+        seps = data.draw(st.lists(ascii_text, min_size=len(tables) + 1, max_size=len(tables) + 1))
+        assert _tables_bytes(tables, seps).decode() == seps[0] + "".join(
+            json.dumps(a.tolist(), separators=(",", ":")) + sep
+            for a, sep in zip(tables, seps[1:])
+        )
+
+    @pytest.mark.parametrize("shape", [(1, -1), (-1, 1)], ids=["one-row", "one-column"])
+    def test_digit_edges_in_one_table(self, shape):
+        a = np.array(DIGIT_EDGES, dtype=np.int64).reshape(shape)
+        assert _tables_bytes([a], ["", ""]).decode() == json.dumps(a.tolist(), separators=(",", ":"))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda sets: sets["set24"],
+            lambda sets: sets["set128"],
+            lambda sets: sets["set32"],
+            lambda sets: remake_set(sets["set24"], _plant([-1, 24, 10**18, -(10**18)])),
+            lambda sets: remake_set(sets["set128"], _plant([-(2**63), 2**63 - 1, -7])),
+            lambda sets: construct2(SystemConfig(t=8, levels=((1, 0), (3, 1), (4, 1))), n=1, g=3),
+            lambda sets: HcsSet(
+                config=SystemConfig(t=4, levels=((1, 0),)), length=1, sequences=(), provenance={}
+            ),
+            lambda sets: HcsSet(
+                config=sets["set24"].config,
+                length=sets["set24"].length,
+                sequences=sets["set24"].sequences,
+                provenance={"kind": "c1", "params": {
+                    "note": '],"t":8}\n', "sequences": [[1]], "x": '"sequences":[{"frames":[[',
+                }},
+            ),
+        ],
+        ids=["c1", "c2", "c2-true-order", "c1-out-of-range", "c2-int64-ends", "empty-level",
+             "no-sequences", "params-look-like-keys"],
+    )
+    def test_save_set_writes_the_canonical_document(self, request, tmp_path, build):
+        sets = {name: request.getfixturevalue(name) for name in ("set24", "set128", "set32")}
+        hcs_set = build(sets)
+        path = tmp_path / "set.json"
+        save_set(hcs_set, path)
+        data = path.read_bytes()
+        assert data == dumps_document(to_document(hcs_set)).encode()
+        # the file is read back in numpy, to the set from_document gives
+        loaded = _load_canonical(data)
+        reference = from_document(json.loads(data))
+        assert loaded is not None
+        assert loaded.config == reference.config and loaded.length == reference.length
+        assert loaded.provenance == reference.provenance
+        assert [(s.level, s.user, s.frames.tolist()) for s in loaded.sequences] == [
+            (s.level, s.user, s.frames.tolist()) for s in reference.sequences
+        ]
+        assert all(s.frames.dtype == np.int64 and not s.frames.flags.writeable
+                   for s in loaded.sequences)
 
 
 class TestFrameInvariants:

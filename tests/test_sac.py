@@ -99,6 +99,28 @@ class TestAssignmentFlow:
         with pytest.raises(ValueError, match="frame order"):
             state.request_access("D", 0, 0)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda s: s.request_access("Z", 9, 5), "unknown level 9"),
+            (lambda s: s.request_access("a", 1, 5), "already holds"),
+            (lambda s: s.request_access("w", 2, 5), "already waiting"),
+            (lambda s: s.release("nobody", 5), "holds no sequence and is not waiting"),
+        ],
+        ids=["unknown-level", "holder", "waiting", "release-unknown"],
+    )
+    def test_refusal_leaves_clock_and_events(self, set24, call, message):
+        state = sac.init(set24)
+        state.request_access("a", 0, 1)
+        state.request_access("h", 2, 2)
+        state.request_access("w", 2, 2)
+        before = list(state.events)
+        with pytest.raises(ValueError, match=message):
+            call(state)
+        assert state.frame == 2 and state.events == before
+        # an earlier frame than the refused one is still in order
+        assert state.request_access("c", 0, 3).kind == "assigned"
+
     def test_conservation_under_churn(self, set24):
         gen = np.random.default_rng(42)
         script = random_script(gen, set24, frames=200)

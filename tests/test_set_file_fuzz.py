@@ -5,7 +5,10 @@ or 5 and at most one JSON line on stderr, never a Python traceback (exit 1).
 The documents are small c1 and c2 sets with keys dropped, values swapped for
 other JSON types or for huge and negative integers, and arrays truncated.
 The same holds for sac scripts through ``hcs sac-trace`` and pipeline plans
-through ``hcs pipeline``.
+through ``hcs pipeline``.  ``load_set``, which reads canonical files in
+numpy, returns what ``from_document(read_json(path))`` returns, or raises its
+error, for the same documents written in canonical form and for hand-made
+texts around that form.
 """
 import contextlib
 import copy
@@ -18,8 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcskit import SystemConfig, construct1, construct2, to_document
+from hcskit import (
+    SchemaError,
+    SystemConfig,
+    construct1,
+    construct2,
+    dumps_document,
+    from_document,
+    load_set,
+    to_document,
+)
 from hcskit.cli import dispatch
+from hcskit import core
+from hcskit.core import _load_canonical, read_json
 
 DOCUMENTS = {
     "c1": to_document(construct1(SystemConfig(t=8, levels=((4, 2),), seed=1105))),
@@ -97,6 +111,103 @@ def test_verify_exit_contract(kind, data):
     assert len(lines) <= 1
     for line in lines:
         assert set(json.loads(line)) == {"error", "message"}
+
+
+def _load_outcome(load, path):
+    """What ``load(path)`` gives: the set's config, length, provenance and
+    (level, user, frames) per sequence, or the message of its SchemaError."""
+    try:
+        s = load(path)
+    except SchemaError as exc:
+        return str(exc)
+    return (s.config, s.length, s.provenance,
+            [(q.level, q.user, q.frames.dtype, q.frames.tolist()) for q in s.sequences])
+
+
+def _assert_loads_as_reference(path):
+    assert _load_outcome(load_set, path) == _load_outcome(
+        lambda p: from_document(read_json(p)), path
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_canonical_load_matches_reference(kind, data):
+    doc = copy.deepcopy(DOCUMENTS[kind])
+    for _ in range(data.draw(st.integers(0, 3))):
+        doc = _mutate(data, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "set.json"
+        path.write_text(dumps_document(doc), encoding="utf-8")
+        _assert_loads_as_reference(path)
+
+
+def _edit(kind, old, new, count=1):
+    text = dumps_document(DOCUMENTS[kind])
+    assert old in text
+    return text.replace(old, new, count)
+
+
+def _reordered(kind):
+    doc = copy.deepcopy(DOCUMENTS[kind])
+    doc["sequences"].reverse()
+    return dumps_document(doc)
+
+
+def _with_params(kind, **params):
+    doc = copy.deepcopy(DOCUMENTS[kind])
+    doc["construction"]["params"].update(params)
+    return dumps_document(doc)
+
+
+# texts near the canonical form: (text, whether load_set reads it in numpy)
+NEAR_CANONICAL = {
+    "canonical": (dumps_document(DOCUMENTS["c2"]), True),
+    "leading-zero": (_edit("c2", '"frames":[[', '"frames":[[0'), False),
+    "minus-zero": (_edit("c1", "[[0,", "[[-0,"), False),
+    "minus-slot": (_edit("c1", "[[0,", "[[-1,"), True),
+    "empty-row": (_edit("c2", "],[", "],[],["), False),
+    "ragged-row": (_edit("c1", "[[0,3,", "[[0,"), False),
+    "empty-frames": (_edit("c1", '"frames":[[', '"frames":[],"x":[['), False),
+    "swapped-sequences": (_reordered("c2"), False),
+    "no-trailing-newline": (dumps_document(DOCUMENTS["c1"])[:-1], False),
+    "space-after-comma": (_edit("c1", "],[", "], ["), False),
+    "trailing-space": (dumps_document(DOCUMENTS["c1"]) + " ", False),
+    "crlf": (_edit("c1", "}\n", "}\r\n"), False),
+    "params-t-key": (_with_params("c2", note='],"t":8}\n'), True),
+    "params-sequences-text": (_with_params("c2", note='"sequences":[{"frames":[[1]]'), True),
+    "params-sequences-key": (_with_params("c2", sequences=[{"frames": [[1]]}], t=9), True),
+    "slot-beyond-int64": (_edit("c1", "[[0,", "[[9223372036854775808,"), False),
+    "slot-int64-min": (_edit("c1", "[[0,", "[[-9223372036854775808,"), True),
+    "slot-20-digits": (_edit("c1", "[[0,", "[[10000000000000000000,"), False),
+    "huge-t": (_edit("c1", '"t":8}', '"t":' + "9" * 30 + "}"), False),
+    "head-not-json": (_edit("c1", '"format_version":1', '"format_version":1,,'), False),
+    "level-digits-swapped": (_edit("c2", '"level":0,"user":0', '"level":0,"user":00'), False),
+    "non-ascii-param": (_with_params("c1", note="\u00e9"), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_CANONICAL))
+def test_near_canonical_texts_load_as_reference(tmp_path, name):
+    text, in_numpy = NEAR_CANONICAL[name]
+    path = tmp_path / "set.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_load_canonical(path.read_bytes()) is not None) == in_numpy
+    _assert_loads_as_reference(path)
+
+
+def test_exactness_check_beyond_recursion_limit_falls_back(tmp_path, monkeypatch):
+    # params nested about as deep as json.loads reads can need more stack to
+    # write again than they took to read; such a file goes the reference route
+    def too_deep(hcs_set):
+        raise RecursionError("maximum recursion depth exceeded while encoding a JSON object")
+
+    path = tmp_path / "set.json"
+    path.write_text(dumps_document(DOCUMENTS["c1"]), encoding="utf-8")
+    monkeypatch.setattr(core, "_canonical_bytes", too_deep)
+    assert core._load_canonical(path.read_bytes()) is None
+    _assert_loads_as_reference(path)
 
 
 SCRIPT = [
