@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .bound import (
     BoundReport,
     EnumerationCapError,
+    Rosters,
     UserCountTuple,
     check_bound,
     enumerate_user_counts,
@@ -62,6 +63,7 @@ __all__ = [
     "HcsSequence",
     "HcsSet",
     "LevelSpec",
+    "Rosters",
     "SacEvent",
     "SacState",
     "SchemaError",

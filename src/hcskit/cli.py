@@ -42,11 +42,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, bound, construction1, construction2, sac, simulator, verification
 from .core import (
+    _CSV_ROWS,
     ConfigError,
     SchemaError,
     SystemConfig,
+    _tables_bytes,
     dumps_document,
     load_set,
     read_json,
@@ -247,18 +251,25 @@ def _cmd_bound(args: argparse.Namespace) -> list[Path]:
     return outputs
 
 
+def _rosters_csv(rosters: bound.Rosters) -> str:
+    """``_csv_text`` over the rows (counts..., load, optimal as 0/1), byte for byte."""
+    header = [f"u_{i}" for i in range(rosters.counts.shape[1])] + ["load", "optimal"]
+    table = np.column_stack((rosters.counts, rosters.load, rosters.optimal.view(np.uint8)))
+    if table.dtype == object:
+        # loads of a frame of 2**63 - 1 slots or more are Python ints
+        return _csv_text(header, table.tolist())
+    return _tables_bytes([table], [",".join(header) + "\n", ""], _CSV_ROWS).decode("ascii")
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> list[Path]:
-    tuples = bound.enumerate_user_counts(args.t, args.r, cap=args.max_tuples)
-    text = _csv_text(
-        [f"u_{i}" for i in range(len(args.r))] + ["load", "optimal"],
-        (list(entry.counts) + [entry.load, int(entry.optimal)] for entry in tuples),
-    )
+    rosters = bound.enumerate_user_counts(args.t, args.r, cap=args.max_tuples)
+    text = _rosters_csv(rosters)
     if not args.out:
         sys.stdout.write(text)
         return []
     out = Path(args.out)
     write_text(out, text)
-    print(f"wrote {out}: {len(tuples)} rosters")
+    print(f"wrote {out}: {len(rosters)} rosters")
     return [out]
 
 

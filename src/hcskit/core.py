@@ -496,27 +496,47 @@ _T_KEY = b'],"t":'
 _T_TAIL = re.compile(rb'\],"t":([1-9][0-9]{0,17})\}\n')
 
 
-def _tables_bytes(tables: Sequence[np.ndarray], seps: Sequence[str]) -> bytes:
-    """``seps[0] + T0 + seps[1] + T1 + ... + seps[-1]`` as ASCII, where ``Ti``
-    is ``json.dumps(tables[i].tolist(), separators=(",", ":"))``.
+# (table begin, cell, row break, table close) of _tables_bytes: a JSON list of
+# lists, and the rows csv.writer(..., lineterminator="\n") writes
+_JSON_ROWS = ("[[", ",", "],[", "]]")
+_CSV_ROWS = ("", ",", "\n", "\n")
+# the bit of _tables_bytes' uint8 text lengths that marks a row break, which
+# tells a break apart from a cell of the same length, as in a CSV
+_ROW_BREAK = 64
 
-    ``tables`` are int64 arrays of shape (l, r) with l, r >= 1 and ``seps``
-    ASCII strings, one more than the tables.  Every value's sign, magnitude
-    and text width go into flat arrays first; then the values are written
-    ``_BLOCK`` at a time into one byte buffer: their places from a cumulative
-    sum of the widths, then one scatter per decimal place.
+
+def _tables_bytes(
+    tables: Sequence[np.ndarray], seps: Sequence[str], layout: Sequence[str] = _JSON_ROWS
+) -> bytes:
+    """``seps[0] + T0 + seps[1] + T1 + ... + seps[-1]`` as ASCII, where ``Ti``
+    is ``begin + row + brk + row + ... + row + close`` over the rows of
+    ``tables[i]``, each row its values in decimal joined by ``cell``, for
+    ``layout = (begin, cell, brk, close)``.  With the default layout ``Ti`` is
+    ``json.dumps(tables[i].tolist(), separators=(",", ":"))``; with
+    ``_CSV_ROWS`` it is what ``csv.writer`` writes of those lists.
+
+    ``tables`` are int64 arrays of shape (l, r) with l, r >= 1, ``seps`` ASCII
+    strings, one more than the tables, and ``layout`` ASCII strings, ``cell``
+    of one character and ``brk`` shorter than ``_ROW_BREAK``.  Every value's
+    sign, magnitude and text width go into flat arrays first; then the values
+    are written ``_BLOCK`` at a time into one byte buffer: their places from a
+    cumulative sum of the widths, then one scatter per decimal place.
     """
+    begin, cell, brk, close = layout
     if not tables:
         return seps[0].encode("ascii")
-    heads = [(("]]" if i else "") + sep + "[[").encode("ascii") for i, sep in enumerate(seps[:-1])]
-    tail = ("]]" + seps[-1]).encode("ascii")
+    heads = [
+        ((close if i else "") + sep + begin).encode("ascii") for i, sep in enumerate(seps[:-1])
+    ]
+    tail = (close + seps[-1]).encode("ascii")
     top = max(max(int(a.max()), -int(a.min())) for a in tables)
     count = sum(a.size for a in tables)
     # slots below t mostly fit a uint8 or uint16, where the passes run faster
     mag = np.empty(count, np.min_scalar_type(top))
     negative = np.empty(count, bool)
-    # the text before a value: "," inside a row, "],[" before a row, and a
-    # table's head, written apart, before its first value
+    # the length of the text before a value: the cell inside a row, the row
+    # break before a row, flagged by _ROW_BREAK, and 0 before a table's first
+    # value, whose head is written apart
     gap = np.ones(count, np.uint8)
     firsts = []
     pos = 0
@@ -524,7 +544,7 @@ def _tables_bytes(tables: Sequence[np.ndarray], seps: Sequence[str]) -> bytes:
         flat = a.ravel()
         np.less(flat, 0, out=negative[pos:pos + flat.size])
         mag[pos:pos + flat.size] = flat  # wraps; the negation below takes it back
-        gap[pos:pos + flat.size:a.shape[1]] = 3
+        gap[pos:pos + flat.size:a.shape[1]] = _ROW_BREAK | len(brk)
         gap[pos] = 0
         firsts.append(pos)
         pos += flat.size
@@ -532,9 +552,12 @@ def _tables_bytes(tables: Sequence[np.ndarray], seps: Sequence[str]) -> bytes:
     width = negative.view(np.uint8) + np.uint8(1)  # sign and digits
     for power in _POW10[_POW10 <= top]:
         width += mag >= mag.dtype.type(power)
-    lens = gap + width
+    lens = np.bitwise_and(gap, np.uint8(_ROW_BREAK - 1))
+    lens += width
     total = int(lens.sum(dtype=np.int64)) + sum(map(len, heads)) + len(tail)
-    buf = np.full(total, ord(","), np.uint8)
+    # the buffer starts as cells, so a row break writes only its other bytes
+    buf = np.full(total, ord(cell), np.uint8)
+    brk_bytes = [(k, ord(c)) for k, c in enumerate(brk, 1 - len(brk)) if c != cell]
     pending = list(zip(firsts, heads))
     end = 0
     for lo in range(0, count, _BLOCK):
@@ -551,10 +574,10 @@ def _tables_bytes(tables: Sequence[np.ndarray], seps: Sequence[str]) -> bytes:
         for j, head in here:
             pos = int(last[j]) - int(w[j]) + 1 - len(head)
             buf[pos:pos + len(head)] = np.frombuffer(head, np.uint8)
-        rows = np.flatnonzero(gap[lo:hi] == 3)
+        rows = np.flatnonzero(gap[lo:hi] >= _ROW_BREAK)
         at = last[rows] - w[rows]
-        buf[at - 2] = ord("]")
-        buf[at] = ord("[")
+        for k, c in brk_bytes:
+            buf[at + k] = c
         at = np.flatnonzero(negative[lo:hi])
         buf[last[at] - w[at] + 1] = ord("-")
         end = int(last[-1]) + 1

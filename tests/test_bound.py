@@ -1,7 +1,14 @@
+import contextlib
+import csv
+import io
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hcskit import (
     EnumerationCapError,
@@ -9,6 +16,7 @@ from hcskit import (
     check_bound,
     enumerate_user_counts,
 )
+from hcskit.cli import dispatch
 
 
 def brute_rosters(t, rv):
@@ -98,6 +106,30 @@ class TestEnumerate:
         assert peak < 2**20
         assert len(enumerate_user_counts(48, (1, 2, 3, 6), cap=10125)) == 10125
 
+    @pytest.mark.parametrize("t", [2**63, 10**30], ids=["2**63", "10**30"])
+    def test_cap_error_for_a_frame_beyond_int64(self, t):
+        with pytest.raises(EnumerationCapError, match="cap of 1000 tuples"):
+            enumerate_user_counts(t, (1, 2, 3), cap=1000)
+
+    @pytest.mark.parametrize(
+        "t, rv",
+        [(10**30, (10**29, 3 * 10**29)), (2**63 - 1, (2**62, 2**63 - 1)), (12, (5, 2**70))],
+        ids=["frame-10**30", "frame-2**63-1", "level-2**70"],
+    )
+    def test_values_beyond_int64_match_oracle(self, t, rv):
+        got = enumerate_user_counts(t, rv)
+        assert [(r.counts, r.load, r.optimal) for r in got] == brute_rosters(t, rv)
+
+    def test_columns_match_rows(self):
+        rosters = enumerate_user_counts(30, (2, 3, 7))
+        assert rosters.counts.dtype == np.int64 and rosters.counts.shape == (len(rosters), 3)
+        assert rosters.load.dtype == np.int64 and rosters.optimal.dtype == bool
+        assert (rosters.load == rosters.counts @ np.array([2, 3, 7])).all()
+        assert (rosters.optimal == (rosters.load == 30)).all()
+        for r in rosters:
+            assert all(type(u) is int for u in r.counts)
+            assert type(r.load) is int and type(r.optimal) is bool
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             enumerate_user_counts(8, (2, 2))
@@ -105,3 +137,33 @@ class TestEnumerate:
             enumerate_user_counts(8, (0, 2))
         with pytest.raises(ValueError):
             enumerate_user_counts(8, ())
+
+
+def oracle_csv(t, rv) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"u_{i}" for i in range(len(rv))] + ["load", "optimal"])
+    for counts, load, optimal in brute_rosters(t, rv):
+        writer.writerow([*counts, load, int(optimal)])
+    return buf.getvalue()
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    t=st.integers(1, 30),
+    rv=st.lists(st.integers(1, 30), min_size=1, max_size=3, unique=True).map(sorted),
+)
+@example(t=10**30, rv=[10**29, 3 * 10**29])
+def test_cli_csv_matches_oracle(t, rv):
+    argv = ["enumerate", "--t", str(t), "--r", ",".join(map(str, rv))]
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
+        out = Path(tmp) / "lattice.csv"
+        assert dispatch([*argv, "--out", str(out)]) == 0
+        written = out.read_bytes()
+        stdout.seek(0)
+        stdout.truncate()
+        assert dispatch(argv) == 0
+    want = oracle_csv(t, rv)
+    assert written == want.encode("ascii")
+    assert stdout.getvalue() == want

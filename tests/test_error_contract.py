@@ -43,7 +43,7 @@ SCRIPT = [
 
 RECORDS = {
     "Audit", "BoundReport", "ComparisonReport", "ComparisonRow", "DriverSequences",
-    "SacEvent", "SerCurve", "SerPoint", "UserCountTuple", "VerificationReport",
+    "Rosters", "SacEvent", "SerCurve", "SerPoint", "UserCountTuple", "VerificationReport",
     "ConfigError", "EnumerationCapError", "HcsError", "SchemaError",
 }
 

@@ -8,18 +8,22 @@ The same holds for sac scripts through ``hcs sac-trace`` and pipeline plans
 through ``hcs pipeline``.  ``load_set``, which reads canonical files in
 numpy, returns what ``from_document(read_json(path))`` returns, or raises its
 error, for the same documents written in canonical form and for hand-made
-texts around that form.
+texts around that form.  The integer writer behind set files and the
+enumerate CSV gives the text of ``json.dumps`` and ``csv.writer``.
 """
 import contextlib
 import copy
+import csv
 import io
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hcskit import (
     SchemaError,
@@ -33,7 +37,7 @@ from hcskit import (
 )
 from hcskit.cli import dispatch
 from hcskit import core
-from hcskit.core import _load_canonical, read_json
+from hcskit.core import _CSV_ROWS, _load_canonical, _tables_bytes, read_json
 
 DOCUMENTS = {
     "c1": to_document(construct1(SystemConfig(t=8, levels=((4, 2),), seed=1105))),
@@ -91,6 +95,28 @@ def _mutate(data, doc):
     else:
         parent[key] = data.draw(JSON_VALUES)
     return doc
+
+
+INT64_ENDS = st.sampled_from([0, -1, 1, -(2**63), 2**63 - 1])
+WRITER_TABLES = hnp.arrays(
+    np.int64,
+    st.one_of(
+        st.tuples(st.just(1), st.integers(1, 6)),
+        st.tuples(st.integers(1, 6), st.just(1)),
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    ),
+    elements=st.one_of(INT64_ENDS, st.integers(-(2**63), 2**63 - 1), st.integers(-99, 99)),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(table=WRITER_TABLES)
+def test_integer_writer_matches_json_and_csv(table):
+    rows = table.tolist()
+    assert _tables_bytes([table], ["", ""]).decode() == json.dumps(rows, separators=(",", ":"))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert _tables_bytes([table], ["", ""], _CSV_ROWS).decode() == buf.getvalue()
 
 
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))
