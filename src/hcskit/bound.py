@@ -101,8 +101,8 @@ def enumerate_user_counts(
     increasing); t is a positive int and cap an int >= 0.  Every tuple of
     non-negative counts u with sum(r_i * u_i) <= t is emitted, the
     capacity-exact ones flagged optimal.  Raises EnumerationCapError, before
-    building the level that would pass it, when more than ``cap`` tuples would
-    be produced.
+    building the level that would pass it, when more than ``cap`` tuples, or
+    more than 2**63 - 1, would be produced.
     """
     rv = tuple(
         check_int(r, "level value", positive=True)
@@ -113,7 +113,8 @@ def enumerate_user_counts(
     if any(b <= a for a, b in zip(rv, rv[1:])):
         raise ConfigError(f"level values must be strictly increasing, got {rv}")
     check_int(t, "frame size", positive=True)
-    check_int(cap, "tuple cap")
+    # numpy counts and indexes the rosters in int64, whatever the cap
+    cap = min(check_int(cap, "tuple cap"), _INT64_MAX)
 
     # the slots each roster prefix leaves, and its counts one column per level;
     # a prefix extends to left // r + 1 rosters, siblings in increasing count,
@@ -132,7 +133,7 @@ def enumerate_user_counts(
         if int(extend.sum()) > cap:
             raise EnumerationCapError(
                 f"enumeration exceeds the cap of {cap} tuples; "
-                f"raise the cap or narrow the level values"
+                f"raise the cap, up to 2**63 - 1, or narrow the level values"
             )
         extend = extend.astype(np.int64, copy=False)
         ends = np.cumsum(extend)

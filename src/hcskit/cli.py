@@ -546,6 +546,8 @@ def _run(argv: list[str]) -> int:
         raise _Failure(EXIT_IO, "file-not-found", exc) from exc
     except OSError as exc:
         raise _Failure(EXIT_IO, "io-error", exc) from exc
+    except MemoryError as exc:
+        raise _Failure(EXIT_CONFIG, "out-of-memory", str(exc) or "not enough memory") from exc
     if failure is not None:
         raise failure
     return EXIT_OK

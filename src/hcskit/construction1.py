@@ -234,6 +234,7 @@ def construct1(config: SystemConfig, drivers: DriverSequences | None = None) -> 
         np.add(offset[:, :, None], runs, out=index)
         index *= m
         frames += index
+        frames.setflags(write=False)
         for j in users.tolist():
             sequences.append(HcsSequence(level=i, user=j, frames=frames[j]))
 

@@ -46,31 +46,58 @@ from .core import (
 MAX_LENGTH = 20_000_000
 
 
-def multiplicative_order(g: int, t: int) -> int:
-    """Smallest d >= 1 with g^d = 1 mod t; g must be a unit modulo t."""
+def multiplicative_order(g: int, t: int, limit: int | None = None) -> int:
+    """Smallest d >= 1 with g^d = 1 mod t; g must be a unit modulo t.
+
+    With a ``limit`` the search stops past it: an order above ``limit`` is
+    returned as ``limit + 1``.
+    """
     if t < 2:
         raise ValueError(f"modulus must be at least 2, got {t}")
     if math.gcd(g, t) != 1:
         raise ValueError(f"{g} is not a unit modulo {t}")
+    # an order is below t, so t is no limit
+    limit = t if limit is None else limit
     x = g % t
     d = 1
-    while x != 1:
+    while x != 1 and d <= limit:
         x = x * g % t
         d += 1
     return d
 
 
-def find_generator(t: int) -> tuple[int, int]:
-    """(g, d): the smallest unit of maximal multiplicative order modulo t."""
+def find_generator(t: int, limit: int | None = None) -> tuple[int, int]:
+    """(g, d): the smallest unit of maximal multiplicative order modulo t.
+
+    With a ``limit`` the search stops at the first unit whose order passes
+    it, and returns that unit with d = ``limit + 1``.
+    """
     if t < 2:
         raise ValueError(f"modulus must be at least 2, got {t}")
+    limit = t if limit is None else limit
     best_g, best_d = 1, 1
     for g in range(1, t):
         if math.gcd(g, t) == 1:
-            d = multiplicative_order(g, t)
+            d = multiplicative_order(g, t, limit)
+            if d > limit:
+                return g, d
             if d > best_d:
                 best_g, best_d = g, d
     return best_g, best_d
+
+
+def _largest_modulus(t: int, n: int) -> int:
+    """The largest d with d**n * t <= MAX_LENGTH, 0 if there is none."""
+    room = MAX_LENGTH // t
+    # d >= 2 doubles the length each round, so past log2(room) rounds only d = 1 fits
+    if n >= room.bit_length():
+        return min(room, 1)
+    d = round(room ** (1 / n))
+    while d**n > room:
+        d -= 1
+    while (d + 1) ** n <= room:
+        d += 1
+    return d
 
 
 @dataclass(frozen=True)
@@ -94,23 +121,27 @@ def cons2_params(
         raise ConfigError(f"frame size must be at least 2, got {t}")
     check_int(n, "round count", positive=True)
     omega2 = level_offsets(config)
+    # an order search stops past the largest d the length guard allows, so a
+    # long frame is refused without searching all of its units
+    limit = _largest_modulus(t, n)
+    searched = d is None
     if g is None:
         if d is not None:
             raise ConfigError("an explicit exponent modulus d needs an explicit unit g")
-        g, d = find_generator(t)
+        g, d = find_generator(t, limit)
     else:
         check_int(g, "unit", positive=True)
         if math.gcd(g, t) != 1:
             raise ConfigError(f"{g} is not a unit modulo {t}")
         if d is None:
-            d = multiplicative_order(g, t)
+            d = multiplicative_order(g, t, limit)
         else:
             check_int(d, "exponent modulus", positive=True)
-    # d >= 2 doubles the length each round, so a long n fails before d**n is built
-    if (d >= 2 and n >= MAX_LENGTH.bit_length()) or d**n * t > MAX_LENGTH:
+    if d > limit:
+        # a searched order past the limit is known only to be at least limit + 1
         raise ConfigError(
-            f"sequence length d^n*t = {d}^{n}*{t} exceeds the {MAX_LENGTH} guard; "
-            f"pick fewer rounds or a smaller-order unit"
+            f"sequence length d^n*t {'>=' if searched else '='} {d}^{n}*{t} exceeds the "
+            f"{MAX_LENGTH} guard; pick fewer rounds or a smaller-order unit"
         )
     return Cons2Params(g=g, d=d, n=n, omega2=omega2)
 
@@ -159,8 +190,9 @@ def construct2(
             table = rows + shift
             table *= mult
             table %= t
-            frames = (table if key is None else table.take(key, axis=0)).reshape(length, lv.r)
-            sequences.append(HcsSequence(level=i, user=j, frames=frames))
+            frames = table if key is None else table.take(key, axis=0)
+            frames.setflags(write=False)
+            sequences.append(HcsSequence(level=i, user=j, frames=frames.reshape(length, lv.r)))
 
     mode = "true-order" if d is None else "compat"
     return HcsSet(

@@ -190,9 +190,25 @@ def level_offsets(config: SystemConfig) -> tuple[int, ...]:
     return tuple(accumulate((lv.r * lv.u for lv in config.levels[:-1]), initial=0))
 
 
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether ``arr`` and every array it views are read-only, down to the
+    one that owns the memory, so no writable array shares its values."""
+    while arr.base is not None:
+        if arr.flags.writeable or not isinstance(arr.base, np.ndarray):
+            return False
+        arr = arr.base
+    return not arr.flags.writeable
+
+
 @dataclass(frozen=True, eq=False)
 class HcsSequence:
-    """One user's slot schedule: an (l, r) integer array, row per frame."""
+    """One user's slot schedule: an (l, r) integer array, row per frame.
+
+    The sequence owns a read-only int64 table: a C-contiguous int64 array is
+    kept as given only if it and every array it views are read-only, and any
+    other input is copied, so the caller's array and its flags are left as
+    they were.
+    """
 
     level: int
     user: int
@@ -206,10 +222,11 @@ class HcsSequence:
             raise ConfigError(f"frames must be an integer array, got dtype {arr.dtype}")
         if not np.can_cast(arr.dtype, np.int64) and arr.size and arr.max() > _INT64_MAX:
             raise ConfigError(f"frames must fit in int64, got slot {int(arr.max())}")
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
         if arr.ndim != 2:
             raise ConfigError(f"frames must be a 2-D array, got shape {arr.shape}")
-        arr.setflags(write=False)
+        if not (arr.dtype == np.int64 and arr.flags.c_contiguous and _frozen(arr)):
+            arr = np.array(arr, dtype=np.int64, order="C")
+            arr.setflags(write=False)
         object.__setattr__(self, "frames", arr)
 
     @property
@@ -456,10 +473,11 @@ def from_document(doc) -> HcsSet:
         r = config.levels[level].r
         flat = _flat_slots(frames, r, where)
         try:
-            table = np.array(flat, dtype=np.int64).reshape(length, r)
+            table = np.array(flat, dtype=np.int64)
         except OverflowError:
             raise SchemaError(f"{where}.frames: slots must fit in int64") from None
-        sequences.append(HcsSequence(level=level, user=user, frames=table))
+        table.setflags(write=False)
+        sequences.append(HcsSequence(level=level, user=user, frames=table.reshape(length, r)))
     try:
         return HcsSet(
             config=config,
@@ -489,11 +507,14 @@ def write_text(path, text: str) -> None:
 # 10, 100, ..., 10**19: a magnitude has one digit more than the powers it reaches
 _POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 # values a writing pass takes, so its int64 scratch stays near 256 KiB however
-# long the set; a reading pass takes four times as many bytes of text
+# long the set
 _BLOCK = 1 << 15
 _SEQUENCES_KEY = b',"sequences":['
 _T_KEY = b'],"t":'
 _T_TAIL = re.compile(rb'\],"t":([1-9][0-9]{0,17})\}\n')
+# every byte but a digit, a minus sign and a comma: deleting them from the
+# sequences leaves each one's slots, level and user, comma-separated
+_NOT_NUMBER_LIST = bytes(b for b in range(256) if b not in b"0123456789-,")
 
 
 # (table begin, cell, row break, table close) of _tables_bytes: a JSON list of
@@ -608,47 +629,6 @@ def _canonical_bytes(hcs_set: HcsSet) -> bytes:
     return _tables_bytes([s.frames for s in seqs], seps)
 
 
-def _decimal_ints(text: np.ndarray, count: int) -> np.ndarray | None:
-    """The ``count`` runs of ASCII digits in ``text``, each with a '-' just
-    before it taken as its sign, as int64; None if there are more or fewer,
-    a run is longer than 19 digits, or ``text`` starts or ends with a digit,
-    which no set's sequences do.
-
-    Runs of 19 digits beyond int64 wrap; callers that re-encode what they
-    parsed see that as a mismatch.
-    """
-    size = len(text)
-    # a run takes a byte at least: a huge count from a hostile head stays cheap
-    if count > size or size and (48 <= text[0] <= 57 or 48 <= text[-1] <= 57):
-        return None
-    numbers = np.empty(count, np.int64)
-    filled = lo = 0
-    while lo < size - 1:
-        hi = min(lo + 4 * _BLOCK, size - 1)
-        while 48 <= text[hi] <= 57:
-            hi += 1
-        # text[lo] and text[hi] are not digits, so the block cuts no run
-        block = text[lo:hi + 1]
-        digit = block - np.uint8(ord("0"))
-        is_digit = digit < 10
-        edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
-        edges += 1
-        starts, counts = edges[0::2], edges[1::2] - edges[0::2]
-        if filled + starts.size > count or (starts.size and counts.max() > 19):
-            return None
-        value = digit[starts].astype(np.uint64)
-        for place in range(1, int(counts.max(initial=0))):
-            live = np.flatnonzero(counts > place)
-            value[live] = value[live] * np.uint64(10) + digit[starts[live] + place]
-        signed = value.view(np.int64)
-        negative = np.flatnonzero(block[starts - 1] == ord("-"))
-        signed[negative] = -signed[negative]
-        numbers[filled:filled + starts.size] = signed
-        filled += starts.size
-        lo = hi
-    return numbers if filled == count else None
-
-
 def _load_canonical(data: bytes) -> HcsSet | None:
     """The set whose canonical text is exactly ``data``, or None.
 
@@ -672,9 +652,17 @@ def _load_canonical(data: bytes) -> HcsSet | None:
         return None
     # each sequence's slots, then its level and user
     count = sum(lv.u * (length * lv.r + 2) for lv in config.levels)
-    numbers = _decimal_ints(np.frombuffer(data, np.uint8, end - start, start), count)
-    if numbers is None:
+    try:
+        # the text goes once parsed, so it is not held through the re-encoding
+        numbers = np.fromstring(
+            data[start:end].translate(None, _NOT_NUMBER_LIST), np.int64, sep=","
+        )
+    except ValueError:
+        # text numpy cannot read to its end, such as two commas in a row
         return None
+    if numbers.size != count:
+        return None
+    numbers.setflags(write=False)
     sequences, at = [], 0
     for i, lv in enumerate(config.levels):
         for j in range(lv.u):

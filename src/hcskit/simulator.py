@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import rng
-from .core import ConfigError, HcsSet, check_db, check_instance, check_int, check_items
+from .core import _INT64_MAX, ConfigError, HcsSet, check_db, check_instance, check_int, check_items
 
 
 def _slot_numbers(slots, what: str, t: int | None = None) -> tuple[int, ...]:
@@ -84,7 +84,7 @@ class HcsScheme(_CycledScheme):
         try:
             return self.hcs_set.sequence(level, self.user)
         except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(exc.args[0]) from exc
 
     @property
     def label(self) -> str:
@@ -139,7 +139,15 @@ class SimConfig:
         check_int(self.symbols_per_slot, "symbols per slot", positive=True)
         check_int(self.frames, "frame count", positive=True)
         check_int(self.seed, "seed")
-        check_instance(self.scheme, (FixedScheme, HcsScheme), "scheme").validate(self.t)
+        scheme = check_instance(self.scheme, (FixedScheme, HcsScheme), "scheme")
+        scheme.validate(self.t)
+        # simulate_ser draws its error counts from int64 symbol counts
+        per_frame = scheme.cycle_slots().shape[1]
+        if self.frames * self.symbols_per_slot * per_frame > _INT64_MAX:
+            raise ConfigError(
+                f"frames x symbols per slot x slots per frame must be at most 2**63 - 1, "
+                f"got {self.frames} x {self.symbols_per_slot} x {per_frame}"
+            )
 
 
 @dataclass(frozen=True)

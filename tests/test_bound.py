@@ -111,6 +111,11 @@ class TestEnumerate:
         with pytest.raises(EnumerationCapError, match="cap of 1000 tuples"):
             enumerate_user_counts(t, (1, 2, 3), cap=1000)
 
+    def test_count_beyond_int64_is_refused_whatever_the_cap(self):
+        # 2**64 + 1 one-level rosters pass a cap of 2**70 but not int64
+        with pytest.raises(EnumerationCapError, match=f"cap of {2**63 - 1} tuples"):
+            enumerate_user_counts(2**64, (1,), cap=2**70)
+
     @pytest.mark.parametrize(
         "t, rv",
         [(10**30, (10**29, 3 * 10**29)), (2**63 - 1, (2**62, 2**63 - 1)), (12, (5, 2**70))],

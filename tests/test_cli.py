@@ -234,6 +234,12 @@ class TestGen2:
         assert err["error"] == "config-error"
         assert "d^n*t = 3^4000000*8 exceeds" in err["message"]
 
+    def test_guard_refuses_a_long_frame_before_searching_its_units(self, tmp_path, capsys):
+        args = ["gen2", "--t", "100003", "--levels", "1:1", "--rounds", "1",
+                "--out", str(tmp_path / "x.json")]
+        err = assert_config_error(capsys, args)
+        assert err["message"].startswith("sequence length d^n*t >= 200^1*100003 exceeds")
+
 
 class TestBoundAndEnumerate:
     def test_bound_stdout_matches_library(self, capsys):
@@ -278,6 +284,22 @@ class TestBoundAndEnumerate:
         code = dispatch(["enumerate", "--t", "100", "--r", "1,2", "--max-tuples", "5"])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "enumeration-cap"
+
+    def test_enumeration_beyond_int64_exits_3(self, capsys):
+        code = dispatch(["enumerate", "--t", str(2**64), "--r", "1", "--max-tuples", str(2**70)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "enumeration-cap"
+
+    def test_out_of_memory_exits_3(self, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli.bound, "enumerate_user_counts", no_memory)
+        assert dispatch(["enumerate", "--t", "8", "--r", "1"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"error": "out-of-memory", "message": "not enough memory"}
+        ]
 
     @pytest.mark.parametrize(
         "args, message",
@@ -671,6 +693,32 @@ class TestSimulateAndCompare:
         err = assert_config_error(capsys, ["simulate", *args, "--snr", "5", "--out", str(out)])
         assert err["message"] == message
         assert not out.exists()
+
+    def test_simulate_beyond_int64_symbols_is_config_error(self, tmp_path, capsys):
+        set_path, out = tmp_path / "s2.json", tmp_path / "c.csv"
+        dispatch(["gen2", "--t", "8", "--levels", LEVELS8, "--rounds", "2", "--g", "3",
+                  "--out", str(set_path)])
+        capsys.readouterr()
+        err = assert_config_error(
+            capsys,
+            ["simulate", "--set", str(set_path), "--snr", "1", "--frames", str(10**18),
+             "--symbols-per-slot", "100", "--out", str(out)],
+        )
+        assert err["message"] == (
+            "frames x symbols per slot x slots per frame must be at most 2**63 - 1, "
+            f"got {10**18} x 100 x 4"
+        )
+        assert not out.exists()
+
+    def test_simulate_missing_sequence_message(self, tmp_path, capsys):
+        set_path, out = tmp_path / "s2.json", tmp_path / "c.csv"
+        dispatch(gen2_args(set_path))
+        capsys.readouterr()
+        err = assert_config_error(
+            capsys,
+            ["simulate", "--set", str(set_path), "--level", "7", "--snr", "1", "--out", str(out)],
+        )
+        assert err["message"] == "no sequence for level 7, user 0"
 
     @pytest.mark.parametrize(
         "option, value, what",

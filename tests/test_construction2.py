@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from hcskit import ConfigError, SystemConfig, construct2, verify
+from hcskit import ConfigError, SystemConfig, construct2, construction2, verify
 from hcskit.construction2 import (
     Cons2Params,
     cons2_params,
@@ -141,6 +141,18 @@ class TestOrderAndGenerator:
             assert d == max(orders.values())
             assert g == min(u for u, o in orders.items() if o == d)
 
+    def test_limited_searches_stop_past_the_limit(self):
+        # below the limit a search gives the full answer; past it, limit + 1
+        # and, for find_generator, the first unit whose order passes it
+        for t in range(2, 31):
+            units = [u for u in range(1, t) if math.gcd(u, t) == 1]
+            for limit in range(t + 1):
+                for g in units:
+                    assert multiplicative_order(g, t, limit) == min(order_oracle(g, t), limit + 1)
+                full = find_generator(t)
+                first = next((u for u in units if order_oracle(u, t) > limit), None)
+                assert find_generator(t, limit) == (full if first is None else (first, limit + 1))
+
 
 class TestMixedRadixIndex:
     def test_round_trip_full_range(self):
@@ -241,6 +253,23 @@ class TestParams:
         # 3**4000000 would take seconds to build and cannot be printed
         with pytest.raises(ConfigError, match=r"d\^n\*t = 3\^4000000\*8 exceeds"):
             cons2_params(cfg8, n=4_000_000, g=3, d=3)
+
+    @pytest.mark.parametrize("g", [None, 2], ids=["derived", "explicit"])
+    def test_length_guard_stops_the_order_search(self, monkeypatch, g):
+        # a full search of 100003's units would take minutes; it stops once an
+        # order passes 200, the most one round of 100003 slots allows, and
+        # 2 is the first unit whose order does
+        searched = []
+
+        def order(unit, t, limit=None):
+            searched.append(unit)
+            return multiplicative_order(unit, t, limit)
+
+        monkeypatch.setattr(construction2, "multiplicative_order", order)
+        cfg = SystemConfig(t=100003, levels=((1, 1),))
+        with pytest.raises(ConfigError, match=r"d\^n\*t >= 200\^1\*100003 exceeds"):
+            construct2(cfg, n=1, g=g)
+        assert searched == ([1, 2] if g is None else [2])
 
 
 class TestConstruct:

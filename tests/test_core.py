@@ -319,6 +319,41 @@ class TestSlotTables:
         assert HcsSequence(level=0, user=0, frames=top).frames.tolist() == [[2**63 - 1, 1]]
         assert HcsSequence(level=0, user=0, frames=np.zeros((0, 2), np.uint64)).length == 0
 
+    def test_writable_table_is_copied_and_left_writable(self):
+        base = np.arange(6, dtype=np.int64).reshape(3, 2)
+        seq = HcsSequence(level=0, user=0, frames=base)
+        assert seq.frames is not base and base.flags.writeable
+        base[0, 0] = 99
+        assert seq.frames.tolist() == [[0, 1], [2, 3], [4, 5]]
+        assert not seq.frames.flags.writeable
+
+    @pytest.mark.parametrize("read_only", [False, True], ids=["view", "read-only-view"])
+    def test_view_of_a_writable_table_is_copied(self, read_only):
+        w = np.arange(8, dtype=np.int64).reshape(4, 2)
+        view = w[1:3]
+        view.setflags(write=not read_only)
+        seq = HcsSequence(level=0, user=0, frames=view)
+        w[1, 0] = 99
+        assert seq.frames[0].tolist() == [2, 3]
+
+    def test_read_only_table_is_kept(self):
+        base = np.arange(6, dtype=np.int64)
+        base.setflags(write=False)
+        frames = base.reshape(3, 2)
+        assert HcsSequence(level=0, user=0, frames=frames).frames is frames
+
+    @pytest.mark.parametrize("route", ["construct1", "construct2", "load_set", "from_document"])
+    def test_built_and_loaded_tables_are_not_copied(self, request, tmp_path, route):
+        # each route hands over views of read-only tables it made, which a
+        # copy would replace with arrays of their own
+        built = request.getfixturevalue("set24" if route == "construct1" else "set128")
+        if route == "load_set":
+            save_set(built, tmp_path / "set.json")
+            built = load_set(tmp_path / "set.json")
+        elif route == "from_document":
+            built = from_document(to_document(built))
+        assert all(s.frames.base is not None for s in built.sequences)
+
 
 class TestFlatten:
     def test_every_pair_of_runs_is_collision_free(self, set24):

@@ -211,6 +211,12 @@ NEAR_CANONICAL = {
     "head-not-json": (_edit("c1", '"format_version":1', '"format_version":1,,'), False),
     "level-digits-swapped": (_edit("c2", '"level":0,"user":0', '"level":0,"user":00'), False),
     "non-ascii-param": (_with_params("c1", note="\u00e9"), True),
+    # numpy's parser reads a lone "-" as 0, stops at a doubled comma and reads
+    # the digits left once other bytes are deleted; none of them is canonical
+    "lone-minus-slot": (_edit("c1", "[[0,", "[[-,"), False),
+    "trailing-comma-in-row": (_edit("c1", "[[0,3,4,7]", "[[0,3,4,7,]"), False),
+    "space-in-row": (_edit("c1", "[[0,3", "[[0, 3"), False),
+    "exponent-slot": (_edit("c1", "[[0,3", "[[1e0,3"), False),
 }
 
 
