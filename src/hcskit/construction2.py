@@ -46,40 +46,66 @@ from .core import (
 MAX_LENGTH = 20_000_000
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes of n >= 1, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    return primes + [n] if n > 1 else primes
+
+
+def _carmichael(t: int) -> int:
+    """lambda(t), the largest multiplicative order of any unit modulo t."""
+    lam = 1
+    for p in _prime_factors(t):
+        k = 0
+        while t % p == 0:
+            t //= p
+            k += 1
+        lam = math.lcm(lam, 2 ** (k - 2) if p == 2 and k >= 3 else p ** (k - 1) * (p - 1))
+    return lam
+
+
 def multiplicative_order(g: int, t: int, limit: int | None = None) -> int:
     """Smallest d >= 1 with g^d = 1 mod t; g must be a unit modulo t.
 
-    With a ``limit`` the search stops past it: an order above ``limit`` is
-    returned as ``limit + 1``.
+    The order divides lambda(t), so it is lambda(t) with each prime factor
+    taken out while g to the remaining power is still 1.  With a ``limit``,
+    an order above ``limit`` is returned as ``limit + 1``.
     """
     if t < 2:
         raise ValueError(f"modulus must be at least 2, got {t}")
     if math.gcd(g, t) != 1:
         raise ValueError(f"{g} is not a unit modulo {t}")
-    # an order is below t, so t is no limit
-    limit = t if limit is None else limit
-    x = g % t
-    d = 1
-    while x != 1 and d <= limit:
-        x = x * g % t
-        d += 1
-    return d
+    order = _carmichael(t)
+    for p in _prime_factors(order):
+        while order % p == 0 and pow(g, order // p, t) == 1:
+            order //= p
+    # a negative limit reads as 0: every order is at least 1
+    return order if limit is None or order <= limit else max(limit, 0) + 1
 
 
 def find_generator(t: int, limit: int | None = None) -> tuple[int, int]:
     """(g, d): the smallest unit of maximal multiplicative order modulo t.
 
-    With a ``limit`` the search stops at the first unit whose order passes
-    it, and returns that unit with d = ``limit + 1``.
+    No unit's order exceeds lambda(t) and some unit's reaches it, so the
+    search stops at the first unit whose order is lambda(t).  With a
+    ``limit`` it stops at the first unit whose order passes it, and returns
+    that unit with d = ``limit + 1``.
     """
     if t < 2:
         raise ValueError(f"modulus must be at least 2, got {t}")
+    most = _carmichael(t)
     limit = t if limit is None else limit
     best_g, best_d = 1, 1
     for g in range(1, t):
         if math.gcd(g, t) == 1:
             d = multiplicative_order(g, t, limit)
-            if d > limit:
+            if d > limit or d == most:
                 return g, d
             if d > best_d:
                 best_g, best_d = g, d

@@ -247,10 +247,12 @@ class Audit:
 
     Row i claims slot ``slot[i]`` in frame ``frame[i]`` for holding
     ``holding[i]``, an index into ``holdings``, whose entries are
-    (first, stop, user, level, sequence).  Rows are sorted by (frame, slot,
-    user).  Iteration yields (frame, slot, user, level, sequence) tuples of
-    plain ints and strs, made AUDIT_BLOCK_ROWS rows at a time; ``audit[i]``
-    is row i, and ``audit + rows`` a list of every row followed by ``rows``.
+    (first, stop, user, level, sequence), sorted by user.  Rows are sorted
+    by (frame, slot, user), which is (frame, slot, holding) since a user
+    holds one sequence at a time.  Iteration yields (frame, slot, user,
+    level, sequence) tuples of plain ints and strs, made AUDIT_BLOCK_ROWS
+    rows at a time; ``audit[i]`` is row i, and ``audit + rows`` a list of
+    every row followed by ``rows``.
     """
 
     frame: np.ndarray
@@ -289,43 +291,73 @@ class Audit:
 def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
     """Audit and collisions of frames [0, end), built block by block.
 
-    Each holding's slots over a block are one gather from its sequence table.
-    Parts are joined in holding order, which is user order, so one stable
-    sort on frame * t + slot orders the block's rows by (frame, slot, user);
-    a row whose (frame, slot) equals the row before it is a collision.
+    The sequence tables sit side by side in one table, a column per roster
+    slot.  A block of frames is one (frames x columns) grid whose cells name
+    the holding that claims the column in the frame, or none, so the block's
+    slots are one gather from that table.  Each frame's row of slot * H +
+    holding keys (H a power of two no smaller than the number of holdings,
+    an empty cell t * H) is sorted on its own.  That orders the frame's
+    claims by (slot, user), holding order being user order, and a claim
+    whose slot equals the one before it is a collision.  A block is
+    frames_per_block(AUDIT_BLOCK_ROWS, load) frames, so its scratch stays
+    near AUDIT_BLOCK_ROWS cells whatever the frame size or the number of
+    holdings.
     """
     holdings = tuple(map(tuple, _holdings(state, end)))
     if not holdings:
         empty = np.zeros(0, dtype=np.int64)
         return Audit(empty, empty, empty, holdings), []
-    begin, until, *_ = zip(*holdings)
-    first, stop = np.array(begin), np.array(until)
-    tables = [state.hcs_set.sequences[h[4]].frames for h in holdings]
-    t = state.hcs_set.t
-    block = frames_per_block(AUDIT_BLOCK_ROWS, state.hcs_set.config.load)
-    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    first, stop, sequence = (np.array([h[i] for h in holdings]) for i in (0, 1, 4))
+    seqs = state.hcs_set.sequences
+    t, load = state.hcs_set.t, state.hcs_set.config.load
+    # init verified that every slot is in 0..t-1, so the narrowing cast is exact
+    table = np.concatenate(
+        [s.frames for s in seqs], axis=1, dtype=np.min_scalar_type(t), casting="unsafe"
+    )
+    widths = np.array([s.slots_per_frame for s in seqs])
+    seq_of_column = np.repeat(np.arange(len(seqs)), widths)
+    columns = np.arange(load)
+    # H = 2**bits, so a key splits into slot and holding by shift and mask
+    bits = (len(holdings) - 1).bit_length()
+    vacant = t << bits
+    rows = int(((stop - first) * widths[sequence]).sum())
+    frame, slot, holding = (np.empty(rows, dtype=np.int64) for _ in range(3))
     collisions: list[tuple[int, int]] = []
-    for lo in range(int(first.min()), int(stop.max()), block):
-        hi = lo + block
-        parts_frame, parts_slot, parts_holding = [], [], []
-        for k in np.flatnonzero((first < hi) & (stop > lo)).tolist():
-            frames = np.arange(max(begin[k], lo), min(until[k], hi))
-            table = tables[k]
-            slots = table[_frame_index(frames, begin[k], len(table), state.alignment)]
-            parts_frame.append(np.repeat(frames, table.shape[1]))
-            parts_slot.append(slots.ravel())
-            parts_holding.append(np.full(slots.size, k))
-        if not parts_frame:
+    block = frames_per_block(AUDIT_BLOCK_ROWS, load)
+    at, last = 0, int(stop.max())
+    for lo in range(int(first.min()), last, block):
+        hi = min(lo + block, last)
+        live = np.flatnonzero((first < hi) & (stop > lo))
+        if not live.size:
             continue
-        frame = np.concatenate(parts_frame)
-        slot = np.concatenate(parts_slot)
-        key = (frame - lo) * t + slot
-        order = np.argsort(key, kind="stable")
-        frame, slot = frame[order], slot[order]
-        columns.append((frame, slot, np.concatenate(parts_holding)[order]))
-        dup = np.flatnonzero(np.diff(key[order]) == 0) + 1
-        collisions.extend(zip(frame[dup].tolist(), slot[dup].tolist()))
-    frame, slot, holding = (np.concatenate(c) for c in zip(*columns))
+        # holding + 1 steps up a sequence's column where the holding starts and
+        # back down where it stops; a sequence's holdings never overlap in
+        # time, so a running sum down the column paints each one's frames
+        step = np.zeros((hi - lo + 1, len(seqs)), dtype=np.int64)
+        step[np.maximum(first[live], lo) - lo, sequence[live]] = live + 1
+        step[np.minimum(stop[live], hi) - lo, sequence[live]] -= live + 1
+        holder = step[:-1].cumsum(axis=0) - 1
+        frames = np.arange(lo, hi)[:, None]
+        index = _frame_index(frames, first[holder], state.hcs_set.length, state.alignment)
+        # a global index is one column, shared by every sequence
+        index = np.broadcast_to(index, holder.shape)[:, seq_of_column]
+        holder = holder[:, seq_of_column]
+        key = table.ravel().take(index * load + columns).astype(np.int64)
+        key <<= bits
+        key += holder
+        key[holder < 0] = vacant
+        key.sort(axis=1)
+        key = key.ravel()
+        claimed = np.flatnonzero(key < vacant)
+        key = key.take(claimed)
+        out = slice(at, at + len(key))
+        at += len(key)
+        frame[out] = claimed // load + lo
+        slot[out] = key >> bits
+        holding[out] = key & ((1 << bits) - 1)
+        f, s = frame[out], slot[out]
+        dup = np.flatnonzero((s[1:] == s[:-1]) & (f[1:] == f[:-1])) + 1
+        collisions.extend(zip(f[dup].tolist(), s[dup].tolist()))
     return Audit(frame, slot, holding, holdings), collisions
 
 
@@ -343,15 +375,17 @@ def run_script(
     in (frame, script order).  Returns the final state, the Audit of every
     synchronized user's slot claims in frames 0..max scripted frame, sorted
     by (frame, slot, user), and the (frame, slot) pairs claimed more than
-    once.  The audit is built per holding once every entry is applied: a
-    grant holds from its frame plus the sync delay until its holder leaves,
-    and its claims are gathered from its sequence table with numpy,
-    AUDIT_BLOCK_ROWS rows at a time, so frames where nothing changes cost no
-    Python loop.  A script that is not a list or tuple, or a malformed entry,
-    one whose frame or join level is not an int >= 0 included, raises
-    ValueError (naming the entry's script position) before any entry is
-    applied, and a script whose audit could exceed MAX_AUDIT_ROWS rows raises
-    ValueError before the allocator is built.
+    once.  The audit is built once every entry is applied: a grant holds
+    from its frame plus the sync delay until its holder leaves.  Each block
+    of about AUDIT_BLOCK_ROWS rows is one grid of holders over the roster's
+    slot columns, read from the side-by-side sequence tables in one gather
+    and sorted frame by frame, so no Python loop runs per frame or per
+    holding and the scratch stays near AUDIT_BLOCK_ROWS cells.  A script
+    that is not a list or tuple, or a malformed entry, one whose frame or
+    join level is not an int >= 0 included, raises ValueError (naming the
+    entry's script position) before any entry is applied, and a script
+    whose audit could exceed MAX_AUDIT_ROWS rows raises ValueError before
+    the allocator is built.
     """
     entries = []
     for pos, entry in enumerate(check_items(script, "script", error=ValueError)):

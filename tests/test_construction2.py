@@ -94,6 +94,30 @@ def order_oracle(g, t):
     return min(e for e in range(1, t + 1) if pow(g, e, t) == 1)
 
 
+def brute_force_order(g, t, limit=None):
+    # the order search as first written: one multiplication at a time
+    limit = t if limit is None else limit
+    x, d = g % t, 1
+    while x != 1 and d <= limit:
+        x = x * g % t
+        d += 1
+    return d
+
+
+def brute_force_generator(t, limit=None):
+    # the generator search as first written: every unit's order is computed
+    limit = t if limit is None else limit
+    best_g, best_d = 1, 1
+    for g in range(1, t):
+        if math.gcd(g, t) == 1:
+            d = brute_force_order(g, t, limit)
+            if d > limit:
+                return g, d
+            if d > best_d:
+                best_g, best_d = g, d
+    return best_g, best_d
+
+
 class TestOrderAndGenerator:
     def test_known_orders(self):
         assert multiplicative_order(3, 7) == 6
@@ -152,6 +176,29 @@ class TestOrderAndGenerator:
                 full = find_generator(t)
                 first = next((u for u in units if order_oracle(u, t) > limit), None)
                 assert find_generator(t, limit) == (full if first is None else (first, limit + 1))
+
+
+    @pytest.mark.parametrize("limit", [None, 0, 1, 2, 3, 5, 10, 50])
+    def test_searches_match_the_brute_force_loop(self, limit):
+        # every t below 100, plus prime powers, 2**k and products of small primes,
+        # where lambda(t) is below the unit-group size
+        for t in [*range(2, 100), 128, 243, 256, 343, 512, 720, 1001, 1024]:
+            assert find_generator(t, limit) == brute_force_generator(t, limit), t
+            for g in range(1, min(t, 60)):
+                if math.gcd(g, t) == 1:
+                    assert multiplicative_order(g, t, limit) == brute_force_order(g, t, limit)
+
+    def test_generator_search_stops_at_the_largest_order(self, monkeypatch):
+        # 3 generates the units of the prime 4001, so no unit past it is tried
+        searched = []
+
+        def order(unit, t, limit=None):
+            searched.append(unit)
+            return multiplicative_order(unit, t, limit)
+
+        monkeypatch.setattr(construction2, "multiplicative_order", order)
+        assert find_generator(4001) == (3, 4000)
+        assert searched == [1, 2, 3]
 
 
 class TestMixedRadixIndex:

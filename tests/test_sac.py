@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hcskit import ConfigError, HcsSet, SystemConfig, sac
+from hcskit import ConfigError, HcsSet, SystemConfig, construct1, construct2, sac
 
 from conftest import random_script, reference_audit, remake_set, shadow_events
 
@@ -390,3 +394,146 @@ class TestRunScript:
                 ]
                 want += rows
             assert (list(audit), collisions) == (want, want_collisions)
+
+
+@st.composite
+def small_sets(draw):
+    """A c1 or c2 set of at most 16 slots a frame and a few short sequences."""
+    if draw(st.booleans()):
+        # c1: the top demand R divides t, every lower demand
+        # divides R, and each lower level fills whole blocks of R slots
+        top = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        blocks = draw(st.integers(1, 3))
+        divisors = [r for r in (1, 2, 3) if top % r == 0 and r < top]
+        lower = draw(st.sets(st.sampled_from(divisors))) if divisors else set()
+        levels, free = [], blocks
+        for r in sorted(lower):
+            used = draw(st.integers(0, free))
+            levels.append((r, used * top // r))
+            free -= used
+        levels.append((top, draw(st.integers(1, max(free, 1)))))
+        t = top * max(blocks, sum(r * u for r, u in levels) // top)
+        config = SystemConfig(t=t, levels=levels, seed=draw(st.integers(0, 2**16)))
+        return construct1(config)
+    t = draw(st.integers(2, 16))
+    demands = sorted(draw(st.sets(st.integers(1, t), min_size=1, max_size=3)))
+    levels, free = [], t
+    for r in demands:
+        levels.append((r, draw(st.integers(0, free // r))))
+        free -= r * levels[-1][1]
+    return construct2(SystemConfig(t=t, levels=levels), n=draw(st.integers(1, 2)))
+
+
+class TestAuditGrid:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        hcs_set=small_sets(),
+        seed=st.integers(0, 2**32 - 1),
+        frames=st.integers(1, 40),
+        alignment=st.sampled_from(sac.ALIGNMENTS),
+        sync_delay=st.sampled_from([0, 3]),
+        block_rows=st.sampled_from([1, 7, 48, 2**15]),
+    )
+    def test_audit_matches_reference(
+        self, hcs_set, seed, frames, alignment, sync_delay, block_rows
+    ):
+        script = random_script(np.random.default_rng(seed), hcs_set, frames)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sac, "AUDIT_BLOCK_ROWS", block_rows)
+            _, audit, collisions = sac.run_script(
+                hcs_set, script, alignment=alignment, sync_delay=sync_delay
+            )
+        assert [c.dtype for c in (audit.frame, audit.slot, audit.holding)] == [np.int64] * 3
+        assert (list(audit), collisions) == reference_audit(
+            hcs_set, script, alignment, sync_delay
+        )
+
+    @pytest.mark.parametrize("t", [255, 256])
+    @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
+    def test_slot_table_width_edges(self, t, alignment):
+        # the side-by-side table is uint8 up to t = 255 and uint16 from 256;
+        # a saturated roster claims slot t - 1, the last below the empty mark t
+        hcs_set = construct2(SystemConfig(t=t, levels=((1, t - 250), (50, 5))), n=1)
+        script = [
+            {"frame": 0, "action": "join", "user": f"u{i}", "level": s.level}
+            for i, s in enumerate(hcs_set.sequences)
+        ]
+        script += [
+            {"frame": 3, "action": "leave", "user": "u0"},
+            {"frame": 5, "action": "join", "user": "u0", "level": 0},
+            {"frame": 12, "action": "leave", "user": "u9"},
+        ]
+        _, audit, collisions = sac.run_script(hcs_set, script, alignment=alignment)
+        assert (list(audit), collisions) == reference_audit(hcs_set, script, alignment)
+        assert audit.slot.max() == t - 1
+        # a per-user holder who joins late is off the others' positions
+        assert bool(collisions) == (alignment == "per-user")
+
+    @pytest.mark.parametrize("block_rows", [1000, 2**15])
+    def test_sparse_roster_is_its_table_repeated(self, monkeypatch, block_rows):
+        # one 1-slot user among 2048 slots: a block is block_rows frames of one column
+        monkeypatch.setattr(sac, "AUDIT_BLOCK_ROWS", block_rows)
+        hcs_set = construct2(SystemConfig(t=2048, levels=((1, 1),)), n=1, g=3, d=1)
+        leave = 3 * 2048 + 7
+        script = [
+            {"frame": 5, "action": "join", "user": "a", "level": 0},
+            {"frame": leave, "action": "leave", "user": "a"},
+        ]
+        _, audit, collisions = sac.run_script(hcs_set, script, alignment="per-user")
+        table = hcs_set.sequences[0].frames[:, 0]
+        assert collisions == [] and set(audit.holding.tolist()) == {0}
+        assert audit.frame.tolist() == list(range(5, leave))
+        assert audit.slot.tolist() == np.tile(table, 4)[: leave - 5].tolist()
+
+    def test_block_scratch_does_not_grow_with_the_frame(self, monkeypatch):
+        # a block of 4096 one-slot frames in a 2048-slot frame: beyond its
+        # three output columns the audit needs a few arrays of the block's
+        # cells, not one cell per slot of the frame (4096 x 2048 cells)
+        monkeypatch.setattr(sac, "AUDIT_BLOCK_ROWS", 4096)
+        hcs_set = construct2(SystemConfig(t=2048, levels=((1, 1),)), n=1, g=3, d=1)
+        state = sac.init(hcs_set)
+        state.request_access("a", 0, 0)
+        state.release("a", 40000)
+        tracemalloc.start()
+        try:
+            audit, _ = sac._audit(state, 40001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(audit) == 40000
+        assert peak - 3 * audit.frame.nbytes < 256 * sac.AUDIT_BLOCK_ROWS
+
+    @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
+    def test_per_frame_churn(self, set24, alignment):
+        # every user leaves and joins again each frame, so every holding is one
+        # frame long and sequences change hands inside every block
+        users = [(f"u{i}", s.level) for i, s in enumerate(set24.sequences)]
+        script = [
+            entry
+            for frame in range(30)
+            for user, level in users
+            for entry in (
+                [{"frame": frame, "action": "leave", "user": user}] if frame else []
+            )
+            + [{"frame": frame, "action": "join", "user": user, "level": level}]
+        ]
+        _, audit, collisions = sac.run_script(set24, script, alignment=alignment)
+        assert (list(audit), collisions) == reference_audit(set24, script, alignment)
+        assert len(audit.holdings) == 30 * len(users)
+
+    @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
+    def test_sequence_passes_between_holders_in_one_block(self, set24, alignment):
+        # level 2 has the one sequence 7: a hands it to the waiting b in
+        # frame 4, b returns it to the pool in frame 6 and c takes it there
+        script = [
+            {"frame": 0, "action": "join", "user": "a", "level": 2},
+            {"frame": 1, "action": "join", "user": "b", "level": 2},
+            {"frame": 4, "action": "leave", "user": "a"},
+            {"frame": 6, "action": "leave", "user": "b"},
+            {"frame": 6, "action": "join", "user": "c", "level": 2},
+            {"frame": 9, "action": "leave", "user": "c"},
+        ]
+        _, audit, collisions = sac.run_script(set24, script, alignment=alignment)
+        assert (list(audit), collisions) == reference_audit(set24, script, alignment)
+        holders = {row[0]: row[2] for row in audit}
+        assert holders == {0: "a", 1: "a", 2: "a", 3: "a", 4: "b", 5: "b", 6: "c", 7: "c", 8: "c"}
