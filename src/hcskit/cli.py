@@ -536,6 +536,9 @@ def _run(argv: list[str]) -> int:
             _write_manifest(args, outputs, started)
     except SchemaError as exc:
         raise _Failure(EXIT_IO, "schema-error", exc) from exc
+    except sac._VerificationFailed as exc:
+        # sac-trace on a set that fails a gate
+        raise _Failure(EXIT_VERIFY, "verification-failed", exc) from exc
     except ConfigError as exc:
         raise _Failure(EXIT_CONFIG, "config-error", exc) from exc
     except bound.EnumerationCapError as exc:

@@ -24,7 +24,7 @@ from .core import (
     check_items,
     frames_per_block,
 )
-from .verification import verify
+from .verification import _proof
 
 ALIGNMENTS = ("global", "per-user")
 
@@ -44,6 +44,10 @@ class SacEvent:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+class _VerificationFailed(ConfigError):
+    """init refused a set that fails a verification gate."""
 
 
 def _check_call(user, frame, level=0, where: str = "") -> None:
@@ -126,6 +130,21 @@ class SacState:
         """
         _check_call(user, frame, level)
         self._check_order(frame)
+        return self._join(user, level, frame)
+
+    def release(self, user: str, frame: int) -> list[SacEvent]:
+        """Leave; frees the sequence and grants it to the queue head, if any.
+
+        A user still waiting leaves its level's queue; the released event
+        then carries no sequence.  A refused release leaves the state, its
+        clock included, as it was.
+        """
+        _check_call(user, frame)
+        self._check_order(frame)
+        return self._leave(user, frame)
+
+    def _join(self, user: str, level: int, frame: int) -> SacEvent:
+        """request_access of a checked call at a frame no earlier than the clock."""
         if level >= self.hcs_set.config.num_levels:
             raise ValueError(f"unknown level {level}")
         if user in self.assignments:
@@ -142,15 +161,8 @@ class SacState:
         self.queues[level].append(user)
         return self._log(frame, "queued", user, level)
 
-    def release(self, user: str, frame: int) -> list[SacEvent]:
-        """Leave; frees the sequence and grants it to the queue head, if any.
-
-        A user still waiting leaves its level's queue; the released event
-        then carries no sequence.  A refused release leaves the state, its
-        clock included, as it was.
-        """
-        _check_call(user, frame)
-        self._check_order(frame)
+    def _leave(self, user: str, frame: int) -> list[SacEvent]:
+        """release of a checked call at a frame no earlier than the clock."""
         grant = self.assignments.pop(user, None)
         if grant is None:
             for level, queue in enumerate(self.queues):
@@ -202,11 +214,14 @@ def init(
     sync_delay: int = 0,
     assign_seed: int | None = None,
 ) -> SacState:
-    """Allocator for a verified set; refuses sets that fail verification."""
-    report = verify(hcs_set)
-    for name, check in report.gates():
+    """Allocator for a verified set; refuses sets that fail verification.
+
+    A set object is proved once: its report is reused while its tables stay
+    read-only and its provenance is unchanged (see verification._proof).
+    """
+    for name, check in _proof(hcs_set).gates():
         if not check.passed:
-            raise ConfigError(f"set failed verification ({name}): {check.detail}")
+            raise _VerificationFailed(f"set failed verification ({name}): {check.detail}")
     return SacState(
         hcs_set, alignment=alignment, sync_delay=sync_delay, assign_seed=assign_seed
     )
@@ -402,10 +417,11 @@ def run_script(
     state = init(
         hcs_set, alignment=alignment, sync_delay=sync_delay, assign_seed=assign_seed
     )
+    # _check_entry has checked every call, and entries run in frame order
     for frame, _, entry in entries:
         if entry["action"] == "join":
-            state.request_access(entry["user"], entry["level"], frame)
+            state._join(entry["user"], entry["level"], frame)
         else:
-            state.release(entry["user"], frame)
+            state._leave(entry["user"], frame)
     audit, collisions = _audit(state, last_frame + 1)
     return state, audit, collisions

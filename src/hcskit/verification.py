@@ -8,12 +8,13 @@ generation is flagged no matter which construction produced it.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bound import BoundReport, check_bound
-from .core import HcsSet, check_instance, frames_per_block
+from .core import HcsSet, _frozen, check_instance, frames_per_block
 
 # largest frames x slots count verify takes on; it bounds the work, since
 # the counts are built one block of CLAIM_BLOCK_CELLS at a time
@@ -258,6 +259,42 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
         uniformity_deviation=uniformity,
         warnings=tuple(warnings),
     )
+
+
+# each proved set's (provenance key, report); weak keys, so it keeps no set
+# alive, and a report holds no table
+_proofs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _provenance_key(hcs_set: HcsSet) -> tuple:
+    """The provenance fields verify reads, with their types: the kind, and
+    for a c2 set d and n."""
+    kind = hcs_set.provenance.get("kind")
+    fields = (kind,)
+    if kind == "c2":
+        params = hcs_set.provenance["params"]
+        fields += (params["d"], params["n"])
+    return tuple((type(v), v) for v in fields)
+
+
+def _proof(hcs_set: HcsSet) -> VerificationReport:
+    """verify's report of ``hcs_set``, proved once per set object.
+
+    The report is reused while every sequence table is still read-only down
+    its whole ``.base`` chain and the provenance fields verify reads are
+    unchanged; otherwise the set is proved again, and the new report is
+    kept only if every table is read-only.  A table made writable, written
+    and made read-only again between two calls is not detected.
+    """
+    check_instance(hcs_set, HcsSet, "set")
+    key = _provenance_key(hcs_set)
+    if not all(_frozen(s.frames) for s in hcs_set.sequences):
+        _proofs.pop(hcs_set, None)
+        return verify(hcs_set)
+    kept = _proofs.get(hcs_set)
+    if kept is None or kept[0] != key:
+        kept = _proofs[hcs_set] = key, verify(hcs_set)
+    return kept[1]
 
 
 def _frame_distinctness(seqs, t: int, rows: np.ndarray) -> CheckResult:

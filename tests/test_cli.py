@@ -589,6 +589,30 @@ class TestSacTrace:
         }
         assert not out.exists()
 
+    def test_set_failing_a_gate_exits_4(self, tmp_path, capsys):
+        set_path = tmp_path / "set2.json"
+        dispatch(gen2_args(set_path))
+        doc = json.loads(set_path.read_text())
+        # sequence 0 claims sequence 1's first slot in frame 0
+        doc["sequences"][0]["frames"][0][0] = doc["sequences"][1]["frames"][0][0]
+        set_path.write_text(json.dumps(doc))
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"frame": 0, "action": "join", "user": "A", "level": 0}]))
+        out = tmp_path / "trace.json"
+        capsys.readouterr()
+        code = dispatch(
+            ["sac-trace", "--set", str(set_path), "--script", str(script), "--out", str(out)]
+        )
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "verification-failed"
+        assert err["message"].startswith("set failed verification (zero_correlation): ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "script.json", "set2.json", "set2.json.manifest.json"
+        ]
+
     def test_waiting_user_leaves(self, tmp_path, capsys):
         set_path = tmp_path / "set1.json"
         dispatch(["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "1", "--out", str(set_path)])

@@ -1,11 +1,13 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcskit import ConfigError, HcsSet, SystemConfig, construct1, construct2, sac
+from hcskit import ConfigError, HcsSet, SystemConfig, construct1, construct2, sac, verification
 
 from conftest import random_script, reference_audit, remake_set, shadow_events
 
@@ -31,6 +33,89 @@ class TestInit:
             sac.SacState(set24, alignment="drifting")
         with pytest.raises(ConfigError, match="non-negative"):
             sac.SacState(set24, sync_delay=-1)
+
+
+@pytest.fixture
+def proofs(monkeypatch):
+    """The sets verify has counted the claims of, one entry per proof."""
+    calls = []
+    claim_counts = verification._claim_counts
+
+    def counted(hcs_set):
+        calls.append(hcs_set)
+        return claim_counts(hcs_set)
+
+    monkeypatch.setattr(verification, "_claim_counts", counted)
+    return calls
+
+
+ONE_JOIN = [{"frame": 0, "action": "join", "user": "a", "level": 0}]
+
+
+class TestProofReuse:
+    def test_one_set_is_proved_once(self, cfg24, proofs):
+        s = construct1(cfg24)
+        script = ONE_JOIN + [{"frame": 3, "action": "leave", "user": "a"}]
+        _, first, _ = sac.run_script(s, script)
+        _, again, _ = sac.run_script(s, script)
+        sac.init(s)
+        assert len(proofs) == 1
+        assert list(first) == list(again)
+        # verify itself still proves the set afresh
+        assert verification.verify(s).passed and len(proofs) == 2
+
+    def test_an_equal_set_is_proved_again(self, cfg24, proofs):
+        s = construct1(cfg24)
+        sac.init(s)
+        sac.init(remake_set(s, lambda index, frames: None))
+        assert len(proofs) == 2
+
+    def test_failing_set_is_refused_every_call(self, set24, proofs):
+        def mutate(index, frames):
+            if index == 0:
+                frames[0, 0] = (frames[0, 0] + 1) % 24
+
+        bad = remake_set(set24, mutate)
+        for _ in range(3):
+            with pytest.raises(ConfigError, match=r"failed verification \(zero_correlation\)"):
+                sac.run_script(bad, ONE_JOIN)
+        assert len(proofs) == 1
+
+    def test_owner_made_writable_voids_the_proof(self, cfg24, proofs):
+        s = construct1(cfg24)
+        sac.init(s)
+        # make sequence 0's owner writable again and plant sequence 1's first slot
+        frames = s.sequences[0].frames
+        frames.base.setflags(write=True)
+        frames.setflags(write=True)
+        frames[0, 0] = s.sequences[1].frames[0, 0]
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="failed verification"):
+                sac.init(s)
+        # a table that is writable is proved on every call, and its proof not kept
+        assert len(proofs) == 3
+
+    def test_c2_provenance_edit_is_proved_again(self, cfg8, proofs):
+        s = construct2(cfg8, n=2, g=3, d=4)
+        sac.init(s)
+        s.provenance["params"]["d"] = 2
+        with pytest.raises(ConfigError, match=r"\(occupancy\).*expected 4$"):
+            sac.init(s)
+        s.provenance["params"]["d"] = 4
+        sac.init(s)
+        sac.init(s)
+        assert len(proofs) == 3
+
+    def test_memo_keeps_no_set_alive(self, cfg24):
+        s = construct1(cfg24)
+        sac.init(s)
+        held = len(verification._proofs)
+        kept = weakref.ref(s)
+        assert kept() in verification._proofs
+        del s
+        gc.collect()
+        assert kept() is None
+        assert len(verification._proofs) < held
 
 
 class TestAssignmentFlow:
@@ -189,6 +274,27 @@ class TestRunScript:
         assert [row[1] for row in full] == list(range(24))
         after = [row for row in audit if row[0] == 2]
         assert len(after) == 22  # the departed 2-slot user is gone
+
+    def test_each_entry_is_checked_once(self, set24, monkeypatch):
+        calls = []
+        check_call = sac._check_call
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check_call(*args, **kwargs)
+
+        monkeypatch.setattr(sac, "_check_call", counted)
+        script = random_script(np.random.default_rng(5), set24, frames=60)
+        reference = sac.SacState(set24)
+        for entry in sorted(script, key=lambda e: e["frame"]):
+            if entry["action"] == "join":
+                reference.request_access(entry["user"], entry["level"], entry["frame"])
+            else:
+                reference.release(entry["user"], entry["frame"])
+        calls.clear()
+        state, _, _ = sac.run_script(set24, script)
+        assert len(calls) == len(script)
+        assert state.events == reference.events
 
     def test_random_churn_collision_free(self, set24, set128):
         for hcs_set, seed in ((set24, 1), (set24, 2), (set128, 3)):
