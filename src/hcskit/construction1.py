@@ -104,7 +104,7 @@ def cons1_params(config: SystemConfig) -> Cons1Params:
             )
     eta = tuple(R // lv.r for lv in config.levels)
     omega = tuple(prefix // R for prefix in offsets)
-    return Cons1Params(R=R, m=m, eta=eta, omega=omega, seed=config.seed)
+    return Cons1Params(R=R, m=m, eta=eta, omega=omega, seed=rng.check_seed(config.seed))
 
 
 def unrank_permutation(gamma: int, m: int) -> tuple[int, ...]:

@@ -70,12 +70,11 @@ def _carmichael(t: int) -> int:
     return lam
 
 
-def multiplicative_order(g: int, t: int, limit: int | None = None) -> int:
+def multiplicative_order(g: int, t: int) -> int:
     """Smallest d >= 1 with g^d = 1 mod t; g must be a unit modulo t.
 
     The order divides lambda(t), so it is lambda(t) with each prime factor
-    taken out while g to the remaining power is still 1.  With a ``limit``,
-    an order above ``limit`` is returned as ``limit + 1``.
+    taken out while g to the remaining power is still 1.
     """
     if t < 2:
         raise ValueError(f"modulus must be at least 2, got {t}")
@@ -85,45 +84,20 @@ def multiplicative_order(g: int, t: int, limit: int | None = None) -> int:
     for p in _prime_factors(order):
         while order % p == 0 and pow(g, order // p, t) == 1:
             order //= p
-    # a negative limit reads as 0: every order is at least 1
-    return order if limit is None or order <= limit else max(limit, 0) + 1
+    return order
 
 
-def find_generator(t: int, limit: int | None = None) -> tuple[int, int]:
+def find_generator(t: int) -> tuple[int, int]:
     """(g, d): the smallest unit of maximal multiplicative order modulo t.
 
-    No unit's order exceeds lambda(t) and some unit's reaches it, so the
-    search stops at the first unit whose order is lambda(t).  With a
-    ``limit`` it stops at the first unit whose order passes it, and returns
-    that unit with d = ``limit + 1``.
+    No unit's order exceeds lambda(t) and some unit's reaches it, so d is
+    lambda(t) and the search stops at the first unit whose order it is.
     """
     if t < 2:
         raise ValueError(f"modulus must be at least 2, got {t}")
     most = _carmichael(t)
-    limit = t if limit is None else limit
-    best_g, best_d = 1, 1
-    for g in range(1, t):
-        if math.gcd(g, t) == 1:
-            d = multiplicative_order(g, t, limit)
-            if d > limit or d == most:
-                return g, d
-            if d > best_d:
-                best_g, best_d = g, d
-    return best_g, best_d
-
-
-def _largest_modulus(t: int, n: int) -> int:
-    """The largest d with d**n * t <= MAX_LENGTH, 0 if there is none."""
-    room = MAX_LENGTH // t
-    # d >= 2 doubles the length each round, so past log2(room) rounds only d = 1 fits
-    if n >= room.bit_length():
-        return min(room, 1)
-    d = round(room ** (1 / n))
-    while d**n > room:
-        d -= 1
-    while (d + 1) ** n <= room:
-        d += 1
-    return d
+    g = next(u for u in range(1, t) if math.gcd(u, t) == 1 and multiplicative_order(u, t) == most)
+    return g, most
 
 
 @dataclass(frozen=True)
@@ -147,28 +121,28 @@ def cons2_params(
         raise ConfigError(f"frame size must be at least 2, got {t}")
     check_int(n, "round count", positive=True)
     omega2 = level_offsets(config)
-    # an order search stops past the largest d the length guard allows, so a
-    # long frame is refused without searching all of its units
-    limit = _largest_modulus(t, n)
-    searched = d is None
+    # d is exact before any unit is searched: a derived g's order is lambda(t)
     if g is None:
         if d is not None:
             raise ConfigError("an explicit exponent modulus d needs an explicit unit g")
-        g, d = find_generator(t, limit)
+        d = _carmichael(t)
     else:
         check_int(g, "unit", positive=True)
         if math.gcd(g, t) != 1:
             raise ConfigError(f"{g} is not a unit modulo {t}")
         if d is None:
-            d = multiplicative_order(g, t, limit)
+            d = multiplicative_order(g, t)
         else:
             check_int(d, "exponent modulus", positive=True)
-    if d > limit:
-        # a searched order past the limit is known only to be at least limit + 1
+    room = MAX_LENGTH // t
+    # d >= 2 doubles the length each round, so n >= log2(room) rounds never fit
+    if room == 0 or d > 1 and (n >= room.bit_length() or d**n > room):
         raise ConfigError(
-            f"sequence length d^n*t {'>=' if searched else '='} {d}^{n}*{t} exceeds the "
-            f"{MAX_LENGTH} guard; pick fewer rounds or a smaller-order unit"
+            f"sequence length d^n*t = {d}^{n}*{t} exceeds the {MAX_LENGTH} guard; "
+            f"pick fewer rounds or a smaller-order unit"
         )
+    if g is None:
+        g, d = find_generator(t)
     return Cons2Params(g=g, d=d, n=n, omega2=omega2)
 
 

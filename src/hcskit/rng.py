@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import ConfigError, check_int
+
 ALGORITHM = "philox4x64"
 
 # Domain tags keep streams for different purposes disjoint even when their
@@ -17,6 +19,14 @@ DOMAIN_LEVEL_BASE = 1
 DOMAIN_SIMULATOR = 2
 
 _MASK64 = (1 << 64) - 1
+
+
+def check_seed(seed) -> int:
+    """``seed`` itself if it is an int in [0, 2**64), the seeds a substream
+    takes; ConfigError otherwise, before any stream is drawn."""
+    if check_int(seed, "seed") > _MASK64:
+        raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
+    return seed
 
 
 def substream(seed: int, domain: int, index: int = 0) -> np.random.Generator:

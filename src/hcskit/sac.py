@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from collections import deque
+from collections import OrderedDict
 
 import numpy as np
 
@@ -91,7 +91,11 @@ class SacState:
         self.pools: list[list[int]] = [[] for _ in hcs_set.config.levels]
         for sid, s in enumerate(hcs_set.sequences):
             self.pools[s.level].append(sid)
-        self.queues: list[deque[str]] = [deque() for _ in hcs_set.config.levels]
+        # each level's FIFO queue of waiting users, keyed by name, so a user
+        # is found, dropped or granted without walking the users ahead of it
+        self.queues: list[OrderedDict[str, None]] = [
+            OrderedDict() for _ in hcs_set.config.levels
+        ]
         # each holder's grant: the event that gave it its sequence
         self.assignments: dict[str, SacEvent] = {}
         if assign_seed is None:
@@ -158,7 +162,7 @@ class SacState:
             grant = self._log(frame, "assigned", user, level, self._pick(pool))
             self.assignments[user] = grant
             return grant
-        self.queues[level].append(user)
+        self.queues[level][user] = None
         return self._log(frame, "queued", user, level)
 
     def _leave(self, user: str, frame: int) -> list[SacEvent]:
@@ -168,14 +172,14 @@ class SacState:
             for level, queue in enumerate(self.queues):
                 if user in queue:
                     self.frame = frame
-                    queue.remove(user)
+                    del queue[user]
                     return [self._log(frame, "released", user, level)]
             raise ValueError(f"user {user!r} holds no sequence and is not waiting")
         self.frame = frame
         level, sid = grant.level, grant.sequence
         out = [self._log(frame, "released", user, level, sid)]
         if self.queues[level]:
-            head = self.queues[level].popleft()
+            head, _ = self.queues[level].popitem(last=False)
             self.assignments[head] = self._log(frame, "granted-from-queue", head, level, sid)
             out.append(self.assignments[head])
         else:

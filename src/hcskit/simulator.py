@@ -138,7 +138,7 @@ class SimConfig:
             raise ConfigError("at least one SNR point is required")
         check_int(self.symbols_per_slot, "symbols per slot", positive=True)
         check_int(self.frames, "frame count", positive=True)
-        check_int(self.seed, "seed")
+        rng.check_seed(self.seed)
         scheme = check_instance(self.scheme, (FixedScheme, HcsScheme), "scheme")
         scheme.validate(self.t)
         # simulate_ser draws its error counts from int64 symbol counts

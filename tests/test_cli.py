@@ -5,8 +5,9 @@ import json
 import pytest
 
 from hcskit import check_bound, enumerate_user_counts, load_set, run_script, SystemConfig
-from hcskit import cli
+from hcskit import cli, construction2
 from hcskit.cli import MAX_SNR_POINTS, _csv_text, _parse_snr, dispatch
+from hcskit.construction2 import multiplicative_order
 
 LEVELS24 = "2:3,3:4,6:1"
 LEVELS8 = "1:1,3:1,4:1"
@@ -205,6 +206,23 @@ class TestGen1:
         assert "divide the frame size" in err["message"]
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen1", "--t", "24", "--levels", LEVELS24],
+            ["simulate", "--fixed", "0,2", "--t", "8", "--snr", "5"],
+        ],
+        ids=["gen1", "simulate"],
+    )
+    def test_seed_past_64_bits_exits_3(self, tmp_path, capsys, args):
+        out = tmp_path / "x.out"
+        err = assert_config_error(
+            capsys, [*args, "--seed", "18446744073709551616", "--out", str(out)]
+        )
+        assert err["message"] == "seed must fit in 64 unsigned bits, got 18446744073709551616"
+        assert not out.exists()
+
+
 class TestGen2:
     def test_matches_library_output(self, tmp_path, capsys, set128):
         from hcskit import dumps_document, to_document
@@ -234,11 +252,24 @@ class TestGen2:
         assert err["error"] == "config-error"
         assert "d^n*t = 3^4000000*8 exceeds" in err["message"]
 
-    def test_guard_refuses_a_long_frame_before_searching_its_units(self, tmp_path, capsys):
-        args = ["gen2", "--t", "100003", "--levels", "1:1", "--rounds", "1",
+    @pytest.mark.parametrize("g", [[], ["--g", "2"]], ids=["derived", "explicit"])
+    def test_guard_refuses_a_long_frame_before_searching_its_units(
+        self, tmp_path, capsys, monkeypatch, g
+    ):
+        # a derived g's order is lambda(100003) = 100002, so no unit's order is
+        # computed; an explicit g's is computed once
+        searched = []
+
+        def order(unit, t):
+            searched.append(unit)
+            return multiplicative_order(unit, t)
+
+        monkeypatch.setattr(construction2, "multiplicative_order", order)
+        args = ["gen2", "--t", "100003", "--levels", "1:1", "--rounds", "1", *g,
                 "--out", str(tmp_path / "x.json")]
         err = assert_config_error(capsys, args)
-        assert err["message"].startswith("sequence length d^n*t >= 200^1*100003 exceeds")
+        assert err["message"].startswith("sequence length d^n*t = 100002^1*100003 exceeds")
+        assert searched == ([2] if g else [])
 
 
 class TestBoundAndEnumerate:

@@ -94,25 +94,21 @@ def order_oracle(g, t):
     return min(e for e in range(1, t + 1) if pow(g, e, t) == 1)
 
 
-def brute_force_order(g, t, limit=None):
+def brute_force_order(g, t):
     # the order search as first written: one multiplication at a time
-    limit = t if limit is None else limit
     x, d = g % t, 1
-    while x != 1 and d <= limit:
+    while x != 1:
         x = x * g % t
         d += 1
     return d
 
 
-def brute_force_generator(t, limit=None):
+def brute_force_generator(t):
     # the generator search as first written: every unit's order is computed
-    limit = t if limit is None else limit
     best_g, best_d = 1, 1
     for g in range(1, t):
         if math.gcd(g, t) == 1:
-            d = brute_force_order(g, t, limit)
-            if d > limit:
-                return g, d
+            d = brute_force_order(g, t)
             if d > best_d:
                 best_g, best_d = g, d
     return best_g, best_d
@@ -165,36 +161,22 @@ class TestOrderAndGenerator:
             assert d == max(orders.values())
             assert g == min(u for u, o in orders.items() if o == d)
 
-    def test_limited_searches_stop_past_the_limit(self):
-        # below the limit a search gives the full answer; past it, limit + 1
-        # and, for find_generator, the first unit whose order passes it
-        for t in range(2, 31):
-            units = [u for u in range(1, t) if math.gcd(u, t) == 1]
-            for limit in range(t + 1):
-                for g in units:
-                    assert multiplicative_order(g, t, limit) == min(order_oracle(g, t), limit + 1)
-                full = find_generator(t)
-                first = next((u for u in units if order_oracle(u, t) > limit), None)
-                assert find_generator(t, limit) == (full if first is None else (first, limit + 1))
-
-
-    @pytest.mark.parametrize("limit", [None, 0, 1, 2, 3, 5, 10, 50])
-    def test_searches_match_the_brute_force_loop(self, limit):
+    def test_searches_match_the_brute_force_loop(self):
         # every t below 100, plus prime powers, 2**k and products of small primes,
         # where lambda(t) is below the unit-group size
         for t in [*range(2, 100), 128, 243, 256, 343, 512, 720, 1001, 1024]:
-            assert find_generator(t, limit) == brute_force_generator(t, limit), t
+            assert find_generator(t) == brute_force_generator(t), t
             for g in range(1, min(t, 60)):
                 if math.gcd(g, t) == 1:
-                    assert multiplicative_order(g, t, limit) == brute_force_order(g, t, limit)
+                    assert multiplicative_order(g, t) == brute_force_order(g, t)
 
     def test_generator_search_stops_at_the_largest_order(self, monkeypatch):
         # 3 generates the units of the prime 4001, so no unit past it is tried
         searched = []
 
-        def order(unit, t, limit=None):
+        def order(unit, t):
             searched.append(unit)
-            return multiplicative_order(unit, t, limit)
+            return multiplicative_order(unit, t)
 
         monkeypatch.setattr(construction2, "multiplicative_order", order)
         assert find_generator(4001) == (3, 4000)
@@ -303,20 +285,51 @@ class TestParams:
 
     @pytest.mark.parametrize("g", [None, 2], ids=["derived", "explicit"])
     def test_length_guard_stops_the_order_search(self, monkeypatch, g):
-        # a full search of 100003's units would take minutes; it stops once an
-        # order passes 200, the most one round of 100003 slots allows, and
-        # 2 is the first unit whose order does
+        # a derived g's order is lambda(100003) = 100002, known before any unit
+        # is searched; an explicit g's order is computed once, and 2's is 100002
         searched = []
 
-        def order(unit, t, limit=None):
+        def order(unit, t):
             searched.append(unit)
-            return multiplicative_order(unit, t, limit)
+            return multiplicative_order(unit, t)
 
         monkeypatch.setattr(construction2, "multiplicative_order", order)
         cfg = SystemConfig(t=100003, levels=((1, 1),))
-        with pytest.raises(ConfigError, match=r"d\^n\*t >= 200\^1\*100003 exceeds"):
+        with pytest.raises(ConfigError, match=r"d\^n\*t = 100002\^1\*100003 exceeds"):
             construct2(cfg, n=1, g=g)
-        assert searched == ([1, 2] if g is None else [2])
+        assert searched == ([] if g is None else [2])
+
+    @pytest.mark.parametrize("max_length", [300, 5000, 20_000_000])
+    def test_guard_and_params_match_brute_force(self, monkeypatch, max_length):
+        # refused exactly when the brute-force d gives d^n*t > MAX_LENGTH, and
+        # otherwise the brute-force (g, d): g derived, or each unit g < 12 with
+        # d derived or given
+        monkeypatch.setattr(construction2, "MAX_LENGTH", max_length)
+        got, want = [], []
+        for t in range(2, 260):
+            cfg = SystemConfig(t=t, levels=((1, 1),))
+            units = [u for u in range(1, min(t, 12)) if math.gcd(u, t) == 1]
+            cases = [(None, None, *brute_force_generator(t))] + [
+                (g, d, g, brute_force_order(g, t) if d is None else d)
+                for g in units
+                for d in (None, 1, 2, 7)
+            ]
+            for n in (1, 2, 3, 5, 40):
+                for g, d, g_want, d_want in cases:
+                    try:
+                        p = cons2_params(cfg, n, g=g, d=d)
+                        got.append((t, n, g, d, p.g, p.d))
+                    except ConfigError as exc:
+                        got.append((t, n, g, d, str(exc)))
+                    if d_want**n * t > max_length:
+                        want.append((t, n, g, d, (
+                            f"sequence length d^n*t = {d_want}^{n}*{t} exceeds the "
+                            f"{max_length} guard; pick fewer rounds or a smaller-order unit"
+                        )))
+                    else:
+                        want.append((t, n, g, d, g_want, d_want))
+        assert len(got) == 37_490
+        assert got == want
 
 
 class TestConstruct:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import hcskit
 from hcskit import (
+    ConfigError,
     DriverSequences,
     FixedScheme,
     HcsError,
@@ -26,6 +27,7 @@ from hcskit import (
     SystemConfig,
     construct1,
     construct2,
+    load_set,
     save_set,
     to_document,
     verify,
@@ -235,6 +237,35 @@ def test_nested_input_is_refused(call, message):
     with pytest.raises(HcsError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: construct1(SystemConfig(t=8, levels=((4, 2),), seed=seed)),
+        lambda seed: SimConfig(t=8, scheme=SCHEME, snr_db=(0.0,), frames=10, seed=seed),
+    ],
+    ids=["construct1", "SimConfig"],
+)
+def test_seeds_past_64_bits_are_refused(call):
+    # a substream takes a 64-bit seed, so a wider one is a ConfigError before any draw
+    for seed in (2**64, 2**64 + 1, 10**30):
+        with pytest.raises(ConfigError) as excinfo:
+            call(seed)
+        assert str(excinfo.value) == f"seed must fit in 64 unsigned bits, got {seed}"
+    call(2**64 - 1)
+
+
+def test_set_files_keep_loading_a_wide_seed(tmp_path):
+    # a file records whatever seed it was built with; loading it draws nothing
+    c1 = construct1(C1_CONFIG)
+    doc = to_document(c1)
+    doc["construction"]["params"]["seed"] = 2**64
+    path = tmp_path / "wide.json"
+    path.write_text(hcskit.dumps_document(doc))
+    loaded = load_set(path)
+    assert loaded.config.seed == 2**64
+    assert verify(loaded).passed
 
 
 # SacState methods, each called on a state where user "a" holds a sequence

@@ -312,6 +312,19 @@ class TestRunScript:
             got = [(e.frame, e.kind, e.user, e.level, e.sequence) for e in state.events]
             assert got == shadow_events(hcs_set, script)
 
+    @pytest.mark.parametrize("order", ["tail", "head"])
+    def test_long_queue_matches_shadow_model(self, set24, order):
+        # 20,000 users join the one-sequence level, so all but the first wait;
+        # they leave from the tail, each dropping out of the queue, or from the
+        # head, each handing the sequence to the next
+        users = [f"u{i}" for i in range(20_000)]
+        script = [{"frame": 0, "action": "join", "user": u, "level": 2} for u in users]
+        leaving = users[::-1] if order == "tail" else users
+        script += [{"frame": 1, "action": "leave", "user": u} for u in leaving]
+        state, _, _ = sac.run_script(set24, script)
+        got = [(e.frame, e.kind, e.user, e.level, e.sequence) for e in state.events]
+        assert got == shadow_events(set24, script)
+
     @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
     @pytest.mark.parametrize("sync_delay", [0, 3])
     def test_audit_matches_reference(self, set24, set128, set32, alignment, sync_delay):
