@@ -50,6 +50,7 @@ from .core import (
     ConfigError,
     SchemaError,
     SystemConfig,
+    _keeping_written,
     _tables_bytes,
     dumps_document,
     load_set,
@@ -275,7 +276,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> list[Path]:
 
 def _cmd_verify(args: argparse.Namespace) -> list[Path]:
     hcs_set = load_set(args.set)
-    report = verification.verify(hcs_set)
+    # in a pipeline plan, a later sac-trace of the same set reuses this proof
+    report = verification._proof(hcs_set)
     doc = report.to_dict()
     if args.json:
         sys.stdout.write(dumps_document(doc))
@@ -402,16 +404,18 @@ def _cmd_pipeline(args: argparse.Namespace) -> list[Path]:
         raise SchemaError(f"{path}: expected {{'stages': [[arg, ...], ...]}}")
     if any(stage[:1] == ["pipeline"] for stage in stages):
         raise SchemaError(f"{path}: a plan cannot run a pipeline stage")
-    for number, stage in enumerate(stages):
-        print(f"[stage {number}] " + " ".join(stage))
-        try:
-            _run(stage)
-        except _Failure as failure:
-            raise _Failure(
-                failure.code,
-                failure.kind,
-                f"[stage {number}] failed with exit code {failure.code}: {failure}",
-            ) from failure
+    # a stage that loads a set an earlier stage saved gets that set back
+    with _keeping_written():
+        for number, stage in enumerate(stages):
+            print(f"[stage {number}] " + " ".join(stage))
+            try:
+                _run(stage)
+            except _Failure as failure:
+                raise _Failure(
+                    failure.code,
+                    failure.kind,
+                    f"[stage {number}] failed with exit code {failure.code}: {failure}",
+                ) from failure
     return []
 
 

@@ -16,6 +16,8 @@ the constructions that emit them and re-checked by the verification module.
 """
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
 import json
 import math
@@ -678,9 +680,45 @@ def _load_canonical(data: bytes) -> HcsSet | None:
     return hcs_set if same else None
 
 
+# while a pipeline plan runs, each set its stages saved, keyed by resolved
+# path: (sha256 of the bytes written, the set); None outside a plan
+_written: dict | None = None
+
+
+@contextlib.contextmanager
+def _keeping_written():
+    """A scope, one pipeline plan, in which load_set gives back the set
+    save_set wrote to a path while the file still holds those bytes.
+
+    Every set saved in the scope is held until it ends, also when it ends
+    with an exception.
+    """
+    global _written
+    _written = {}
+    try:
+        yield
+    finally:
+        _written = None
+
+
+def _kept_set(path, data: bytes) -> HcsSet | None:
+    """The set saved to ``path`` in this scope if ``data`` are the bytes
+    written and every table of the set is still read-only down its ``.base``
+    chain, the rule verification._proof keeps a proof by; None otherwise, and
+    outside a scope."""
+    kept = _written.get(Path(path).resolve()) if _written is not None else None
+    if kept is None or kept[0] != hashlib.sha256(data).digest():
+        return None
+    hcs_set = kept[1]
+    return hcs_set if all(_frozen(s.frames) for s in hcs_set.sequences) else None
+
+
 def save_set(hcs_set: HcsSet, path) -> None:
     """Write ``dumps_document(to_document(hcs_set))`` to path, from the int64 tables."""
-    write_text(path, _canonical_bytes(hcs_set).decode("ascii"))
+    data = _canonical_bytes(hcs_set)
+    write_text(path, data.decode("ascii"))
+    if _written is not None:
+        _written[Path(path).resolve()] = hashlib.sha256(data).digest(), hcs_set
 
 
 def _parse_json(path, data: bytes):
@@ -712,10 +750,16 @@ def read_json(path):
 
 def load_set(path) -> HcsSet:
     """The set in a file: a canonical file is read in numpy, any other text
-    as ``from_document(read_json(path))``, with the same result or error."""
+    as ``from_document(read_json(path))``, with the same result or error.
+
+    Within a pipeline plan, a file that still holds the bytes save_set wrote
+    there gives back the set it wrote (see ``_kept_set``).
+    """
     check_instance(path, (str, os.PathLike), "path")
     data = Path(path).read_bytes()
-    hcs_set = _load_canonical(data)
+    hcs_set = _kept_set(path, data)
+    if hcs_set is None:
+        hcs_set = _load_canonical(data)
     return from_document(_parse_json(path, data)) if hcs_set is None else hcs_set
 
 

@@ -32,11 +32,10 @@ def check_seed(seed) -> int:
 def substream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """Generator for the (seed, domain, index) stream.
 
-    seed must fit in 64 unsigned bits; index in 32.
+    seed is refused as check_seed refuses it; index must fit in 32 bits.
     """
-    if not 0 <= int(seed) <= _MASK64:
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+    check_seed(seed)
     if not 0 <= int(index) < (1 << 32):
         raise ValueError(f"stream index out of range: {index}")
-    key = np.array([int(seed), (int(domain) << 32) | int(index)], dtype=np.uint64)
+    key = np.array([seed, (int(domain) << 32) | int(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

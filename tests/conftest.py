@@ -86,6 +86,7 @@ def shadow_events(hcs_set, script):
     for pool in pools.values():
         pool.sort()
     queues = {i: deque() for i in pools}
+    waiting = {}  # user -> the level whose queue holds it
     held = {}
     events = []
     entries = sorted(
@@ -102,9 +103,10 @@ def shadow_events(hcs_set, script):
                 events.append((frame, "assigned", user, level, sid))
             else:
                 queues[level].append(user)
+                waiting[user] = level
                 events.append((frame, "queued", user, level, None))
         elif user not in held:
-            level = next(i for i, queue in queues.items() if user in queue)
+            level = waiting.pop(user)
             queues[level].remove(user)
             events.append((frame, "released", user, level, None))
         else:
@@ -112,6 +114,7 @@ def shadow_events(hcs_set, script):
             events.append((frame, "released", user, level, sid))
             if queues[level]:
                 head = queues[level].popleft()
+                del waiting[head]
                 held[head] = (level, sid)
                 events.append((frame, "granted-from-queue", head, level, sid))
             else:

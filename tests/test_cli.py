@@ -1,13 +1,18 @@
 import csv
+import gc
 import hashlib
 import json
+import weakref
 
+import numpy as np
 import pytest
 
-from hcskit import check_bound, enumerate_user_counts, load_set, run_script, SystemConfig
-from hcskit import cli, construction2
+from hcskit import SchemaError, check_bound, enumerate_user_counts, load_set, run_script, SystemConfig
+from hcskit import cli, construction2, core, verification
 from hcskit.cli import MAX_SNR_POINTS, _csv_text, _parse_snr, dispatch
 from hcskit.construction2 import multiplicative_order
+
+from conftest import remake_set
 
 LEVELS24 = "2:3,3:4,6:1"
 LEVELS8 = "1:1,3:1,4:1"
@@ -1020,3 +1025,169 @@ class TestUnreadableJson:
         err = assert_schema_error(capsys, self.argv(kind, path, tmp_path))
         assert err["message"].startswith(f"{path}: ")
         assert not (tmp_path / "out.json").exists()
+
+
+def _typed(value):
+    """``value`` with the type of every part spelled out, so two values are
+    equal only if their types are too; an array by dtype, shape, flag and values."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.flags.writeable, value.tolist())
+    if isinstance(value, dict):
+        return ("dict", sorted(((k, _typed(v)) for k, v in value.items()), key=lambda kv: kv[0]))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_typed(v) for v in value])
+    return (type(value).__name__, value)
+
+
+def _set_parts(hcs_set):
+    """Every part of a set, typed: config, length, provenance and sequences."""
+    cfg = hcs_set.config
+    return _typed([
+        type(hcs_set).__name__, type(cfg).__name__, cfg.t, cfg.seed,
+        [(type(lv).__name__, lv.r, lv.u) for lv in cfg.levels],
+        hcs_set.length, hcs_set.provenance,
+        [(type(s).__name__, s.level, s.user, s.frames) for s in hcs_set.sequences],
+    ])
+
+
+def _owner(frames):
+    while frames.base is not None:
+        frames = frames.base
+    return frames
+
+
+class TestPipelineKeepsWrittenSets:
+    """Within a plan, load_set gives back the set save_set wrote while the
+    file still holds its bytes; the outputs stay those of separate runs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The sets cli's save_set and load_set saw, and verify's call count."""
+        seen = {"saved": [], "loaded": [], "verify": 0}
+        save, load, verify = core.save_set, core.load_set, verification.verify
+
+        def saving(hcs_set, path):
+            seen["saved"].append(hcs_set)
+            save(hcs_set, path)
+
+        def loading(path):
+            seen["loaded"].append(load(path))
+            return seen["loaded"][-1]
+
+        def verifying(hcs_set):
+            seen["verify"] += 1
+            return verify(hcs_set)
+
+        monkeypatch.setattr(cli, "save_set", saving)
+        monkeypatch.setattr(cli, "load_set", loading)
+        monkeypatch.setattr(verification, "verify", verifying)
+        return seen
+
+    @staticmethod
+    def plan(tmp_path, stages):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"stages": stages}))
+        return ["pipeline", str(path)]
+
+    def test_loaded_sets_are_those_a_fresh_load_gives(self, tmp_path, capsys, calls):
+        set1, set2 = tmp_path / "set1.json", tmp_path / "set2.json"
+        stages = [
+            ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "7", "--out", str(set1)],
+            gen2_args(set2),
+            ["verify", str(set1)],
+            ["verify", str(set2)],
+        ]
+        assert dispatch(self.plan(tmp_path, stages)) == 0
+        capsys.readouterr()
+        # the plan handed back the very sets it saved, and they are the sets
+        # a load outside any plan reads from the files
+        assert [id(s) for s in calls["loaded"]] == [id(s) for s in calls["saved"]]
+        for kept, path in zip(calls["loaded"], (set1, set2)):
+            fresh = core.load_set(path)
+            assert fresh is not kept
+            assert _set_parts(kept) == _set_parts(fresh)
+
+    def test_sac_trace_reuses_the_verify_stage_proof(self, tmp_path, capsys, calls):
+        set1, script = tmp_path / "set1.json", tmp_path / "script.json"
+        script.write_text(json.dumps([{"frame": 0, "action": "join", "user": "a", "level": 0}]))
+        gen1 = ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "7", "--out", str(set1)]
+        stages = [gen1, ["verify", str(set1)],
+                  ["sac-trace", "--set", str(set1), "--script", str(script),
+                   "--out", str(tmp_path / "trace.json")]]
+        assert dispatch(self.plan(tmp_path, stages)) == 0
+        assert calls["verify"] == 1
+        # run one by one, each stage reads and proves the set afresh
+        for stage in stages:
+            assert dispatch(stage) == 0
+        capsys.readouterr()
+        assert calls["verify"] == 3
+
+    def test_bytes_another_stage_wrote_are_parsed(self, tmp_path, capsys, calls):
+        set2 = tmp_path / "set2.json"
+        overwrite = ["bound", "--t", "8", "--levels", LEVELS8, "--out", str(set2)]
+        stages = [gen2_args(set2), overwrite, ["verify", str(set2)]]
+        assert dispatch(self.plan(tmp_path, stages)) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert dispatch(["verify", str(set2)]) == 5
+        alone = json.loads(capsys.readouterr().err)
+        assert err["message"] == "[stage 2] failed with exit code 5: " + alone["message"]
+
+    @pytest.mark.parametrize("edit", ["indent", "slot", "truncate"])
+    def test_changed_bytes_are_parsed_as_outside_a_plan(self, tmp_path, set24, edit):
+        path = tmp_path / "set.json"
+
+        def outcome():
+            try:
+                return _set_parts(core.load_set(path))
+            except SchemaError as exc:
+                return str(exc)
+
+        with core._keeping_written():
+            core.save_set(set24, path)
+            data = path.read_bytes()
+            if edit == "indent":
+                path.write_text(json.dumps(json.loads(data), indent=2))
+            elif edit == "slot":
+                # a digit before the first slot: another set, still canonical
+                path.write_bytes(data.replace(b'{"frames":[[', b'{"frames":[[1', 1))
+            else:
+                path.write_bytes(data[:-10])
+            inside = outcome()
+        assert outcome() == inside
+        if edit == "indent":
+            assert inside == _set_parts(set24)
+
+    def test_tables_made_writable_are_parsed(self, tmp_path, set128):
+        path = tmp_path / "set.json"
+        hcs_set = remake_set(set128, lambda i, frames: None)
+        with core._keeping_written():
+            core.save_set(hcs_set, path)
+            assert core.load_set(path) is hcs_set
+            _owner(hcs_set.sequences[-1].frames).setflags(write=True)
+            loaded = core.load_set(path)
+        assert loaded is not hcs_set
+        assert _set_parts(loaded) == _set_parts(core.load_set(path))
+
+    def test_outside_a_plan_nothing_is_kept(self, tmp_path, set24):
+        path = tmp_path / "set.json"
+        core.save_set(set24, path)
+        assert core._written is None
+        assert core.load_set(path) is not set24
+
+    @pytest.mark.parametrize("last", ["verify", "missing"])
+    def test_no_written_set_outlives_the_plan(self, tmp_path, capsys, calls, last):
+        set1, set2 = tmp_path / "set1.json", tmp_path / "set2.json"
+        stages = [
+            ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "7", "--out", str(set1)],
+            gen2_args(set2),
+            ["verify", str(set2 if last == "verify" else tmp_path / "missing.json")],
+        ]
+        assert dispatch(self.plan(tmp_path, stages)) == (0 if last == "verify" else 5)
+        capsys.readouterr()
+        refs = [weakref.ref(s) for s in calls["saved"]]
+        calls["saved"].clear()
+        calls["loaded"].clear()
+        gc.collect()
+        assert len(refs) == 2
+        assert [r() for r in refs] == [None, None]
+        assert core._written is None
