@@ -9,7 +9,7 @@ keeps distinct users in distinct blocks or distinct positions, so no two
 users ever claim the same slot in the same frame; with a capacity-exact
 roster every frame uses all t slots exactly once.
 
-Sequence length is t*R frames.
+Sequence length is t*R frames, within the set size budget of core.max_frames.
 
 The whole set is built in whole-array numpy steps.  Every frame's selector
 rank is decoded at once (``unrank_permutations``): its factorial-base
@@ -34,6 +34,7 @@ from .core import (
     check_instance,
     check_items,
     level_offsets,
+    max_frames,
 )
 
 # 21! does not fit the 64-bit selector entries, so block counts keep the
@@ -102,6 +103,11 @@ def cons1_params(config: SystemConfig) -> Cons1Params:
                 f"slot load of levels below level {i} ({prefix}) must be a multiple of "
                 f"the largest demand {R}"
             )
+    if t * R > max_frames(t):
+        raise ConfigError(
+            f"sequence length t*R = {t}*{R} exceeds the {max_frames(t)}-frame guard; "
+            f"pick a smaller frame size or a smaller largest demand"
+        )
     eta = tuple(R // lv.r for lv in config.levels)
     omega = tuple(prefix // R for prefix in offsets)
     return Cons1Params(R=R, m=m, eta=eta, omega=omega, seed=rng.check_seed(config.seed))

@@ -40,10 +40,8 @@ from .core import (
     check_instance,
     check_int,
     level_offsets,
+    max_frames,
 )
-
-# guard against accidental huge d^n * t allocations
-MAX_LENGTH = 20_000_000
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -134,11 +132,12 @@ def cons2_params(
             d = multiplicative_order(g, t)
         else:
             check_int(d, "exponent modulus", positive=True)
-    room = MAX_LENGTH // t
+    frames = max_frames(t)
+    room = frames // t
     # d >= 2 doubles the length each round, so n >= log2(room) rounds never fit
     if room == 0 or d > 1 and (n >= room.bit_length() or d**n > room):
         raise ConfigError(
-            f"sequence length d^n*t = {d}^{n}*{t} exceeds the {MAX_LENGTH} guard; "
+            f"sequence length d^n*t = {d}^{n}*{t} exceeds the {frames}-frame guard; "
             f"pick fewer rounds or a smaller-order unit"
         )
     if g is None:

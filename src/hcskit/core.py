@@ -117,6 +117,17 @@ def frames_per_block(cells: int, per_frame: int) -> int:
     return max(1, cells // per_frame)
 
 
+# the largest set the toolkit builds or proves, in claim cells (frames x t);
+# the constructions refuse a load above t, so it also bounds their tables
+SET_CELL_BUDGET = 1 << 28
+
+
+def max_frames(t: int) -> int:
+    """The most frames a set of frame size ``t`` may have: construct1,
+    construct2 and verify each refuse a longer set."""
+    return SET_CELL_BUDGET // t
+
+
 @dataclass(frozen=True)
 class LevelSpec:
     """One access level: each of ``u`` users claims ``r`` slots per frame."""

@@ -28,7 +28,8 @@ from .verification import _proof
 
 ALIGNMENTS = ("global", "per-user")
 
-# largest audit run_script builds: (last frame + 1) * roster load rows
+# largest audit run_script builds: (last frame + 1) * roster load rows; it
+# bounds a script's frames, not a set's size (that is core.SET_CELL_BUDGET)
 MAX_AUDIT_ROWS = 1 << 22
 # rows the audit gathers and sorts in one numpy pass; bounds its scratch memory
 AUDIT_BLOCK_ROWS = 1 << 15

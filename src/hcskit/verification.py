@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .bound import BoundReport, check_bound
 from .core import HcsSet, _frozen, check_instance, frames_per_block
 
-# largest frames x slots count verify takes on; it bounds the work, since
-# the counts are built one block of CLAIM_BLOCK_CELLS at a time
-MAX_CLAIM_CELLS = 1 << 28
 # claim-grid cells verify counts in one block of frames
 CLAIM_BLOCK_CELLS = 1 << 16
 
@@ -168,15 +166,15 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
     count.  Those counts have no cell for a slot outside 0..t-1, so a set
     holding one fails zero_correlation, occupancy and slot_coverage outright
     while frame_distinctness names the value.  Raises ValueError when the
-    claim grid (l * t cells) would exceed MAX_CLAIM_CELLS.
+    claim grid (l * t cells) would exceed core.SET_CELL_BUDGET.
     """
     cfg = check_instance(hcs_set, HcsSet, "set").config
     t = cfg.t
     length = hcs_set.length
-    if length * t > MAX_CLAIM_CELLS:
+    if length > core.max_frames(t):
         raise ValueError(
             f"set too large to verify: {length} frames of {t} slots exceed "
-            f"{MAX_CLAIM_CELLS} claim cells"
+            f"{core.SET_CELL_BUDGET} claim cells"
         )
     seqs = hcs_set.sequences
     labels = [(s.level, s.user, theta) for s in seqs for theta in range(s.slots_per_frame)]

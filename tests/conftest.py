@@ -76,6 +76,10 @@ def shadow_events(hcs_set, script):
     FIFO queues, lowest-id pools, per (frame, script order) application; a
     waiting user who leaves just drops out of its queue.  Any divergence from
     the real allocator's event stream is a bug in one of them.
+
+    A queue entry carries the script position of its join as a ticket; a
+    waiting user who leaves is only forgotten, and its stale entry is skipped
+    when it reaches the head of the queue.
     """
     from bisect import insort
     from collections import deque
@@ -86,13 +90,13 @@ def shadow_events(hcs_set, script):
     for pool in pools.values():
         pool.sort()
     queues = {i: deque() for i in pools}
-    waiting = {}  # user -> the level whose queue holds it
+    waiting = {}  # user -> (level, ticket) of its live queue entry
     held = {}
     events = []
     entries = sorted(
         ((e["frame"], pos, e) for pos, e in enumerate(script)), key=lambda x: (x[0], x[1])
     )
-    for frame, _, e in entries:
+    for frame, ticket, e in entries:
         user = e["user"]
         if e["action"] == "join":
             level = e["level"]
@@ -102,18 +106,20 @@ def shadow_events(hcs_set, script):
                 held[user] = (level, sid)
                 events.append((frame, "assigned", user, level, sid))
             else:
-                queues[level].append(user)
-                waiting[user] = level
+                queues[level].append((ticket, user))
+                waiting[user] = (level, ticket)
                 events.append((frame, "queued", user, level, None))
         elif user not in held:
-            level = waiting.pop(user)
-            queues[level].remove(user)
+            level, _ = waiting.pop(user)
             events.append((frame, "released", user, level, None))
         else:
             level, sid = held.pop(user)
             events.append((frame, "released", user, level, sid))
-            if queues[level]:
-                head = queues[level].popleft()
+            queue = queues[level]
+            while queue and waiting.get(queue[0][1]) != (level, queue[0][0]):
+                queue.popleft()
+            if queue:
+                _, head = queue.popleft()
                 del waiting[head]
                 held[head] = (level, sid)
                 events.append((frame, "granted-from-queue", head, level, sid))

@@ -277,6 +277,24 @@ class TestGen2:
         assert searched == ([2] if g else [])
 
 
+class TestSizeBudget:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # 32^3 * 128 frames of 128 slots: 2^29 claim cells
+            ["gen2", "--t", "128", "--levels", "1:1", "--rounds", "3"],
+            # 2000 * 100 frames of 2000 slots: 4 * 10^8 claim cells
+            ["gen1", "--t", "2000", "--levels", "100:1", "--seed", "1"],
+        ],
+        ids=["gen2", "gen1"],
+    )
+    def test_set_too_large_to_verify_is_not_written(self, tmp_path, capsys, args):
+        out = tmp_path / "big.json"
+        err = assert_config_error(capsys, [*args, "--out", str(out)])
+        assert "-frame guard" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBoundAndEnumerate:
     def test_bound_stdout_matches_library(self, capsys):
         assert dispatch(["bound", "--t", "24", "--levels", LEVELS24]) == 0

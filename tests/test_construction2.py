@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from hcskit import ConfigError, SystemConfig, construct2, construction2, verify
+from hcskit import ConfigError, SystemConfig, construct2, construction2, core, verify
 from hcskit.construction2 import (
     Cons2Params,
     cons2_params,
@@ -299,12 +299,12 @@ class TestParams:
             construct2(cfg, n=1, g=g)
         assert searched == ([] if g is None else [2])
 
-    @pytest.mark.parametrize("max_length", [300, 5000, 20_000_000])
-    def test_guard_and_params_match_brute_force(self, monkeypatch, max_length):
-        # refused exactly when the brute-force d gives d^n*t > MAX_LENGTH, and
-        # otherwise the brute-force (g, d): g derived, or each unit g < 12 with
-        # d derived or given
-        monkeypatch.setattr(construction2, "MAX_LENGTH", max_length)
+    @pytest.mark.parametrize("budget", [300, 5000, 20_000_000])
+    def test_guard_and_params_match_brute_force(self, monkeypatch, budget):
+        # refused exactly when the brute-force d gives claim cells d^n*t*t over
+        # the budget, and otherwise the brute-force (g, d): g derived, or each
+        # unit g < 12 with d derived or given
+        monkeypatch.setattr(core, "SET_CELL_BUDGET", budget)
         got, want = [], []
         for t in range(2, 260):
             cfg = SystemConfig(t=t, levels=((1, 1),))
@@ -321,10 +321,10 @@ class TestParams:
                         got.append((t, n, g, d, p.g, p.d))
                     except ConfigError as exc:
                         got.append((t, n, g, d, str(exc)))
-                    if d_want**n * t > max_length:
+                    if d_want**n * t * t > budget:
                         want.append((t, n, g, d, (
                             f"sequence length d^n*t = {d_want}^{n}*{t} exceeds the "
-                            f"{max_length} guard; pick fewer rounds or a smaller-order unit"
+                            f"{budget // t}-frame guard; pick fewer rounds or a smaller-order unit"
                         )))
                     else:
                         want.append((t, n, g, d, g_want, d_want))
