@@ -44,7 +44,13 @@ class SacEvent:
     sequence: int | None = None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {
+            "frame": self.frame,
+            "kind": self.kind,
+            "user": self.user,
+            "level": self.level,
+            "sequence": self.sequence,
+        }
 
 
 class _VerificationFailed(ConfigError):

@@ -106,13 +106,28 @@ class HcsScheme(_CycledScheme):
 Scheme = Union[FixedScheme, HcsScheme]
 
 
+# Slot numbers a slot mask covers, at one byte each; a slot table with a larger
+# slot number is matched with np.isin, so the mask stays small whatever slot
+# numbers a caller passes.
+_MASK_SLOTS = 1 << 16
+
+
 def _exposure(scheme: Scheme, interference_slots: Sequence[int], frames: int) -> tuple[int, int]:
     """(interfered, sent) slot counts over ``frames`` frames, counted per cycle:
     full cycles times one cycle's hits, plus the leading rows of the last one."""
     table = scheme.cycle_slots()
-    hit = np.isin(table, np.asarray(tuple(interference_slots), dtype=np.int64)).sum(axis=1)
+    top = int(table.max())
+    if top < _MASK_SLOTS:
+        # mask[s] is set for an interfered slot s <= top; its last entry, which
+        # no slot sets, is read for every negative table value
+        mask = np.zeros(max(top, 0) + 2, dtype=bool)
+        mask[[s for s in interference_slots if s <= top]] = True
+        hit = mask[np.maximum(table, -1)]
+    else:
+        hit = np.isin(table, np.asarray(tuple(interference_slots), dtype=np.int64))
     full, rest = divmod(frames, table.shape[0])
-    return full * int(hit.sum()) + int(hit[:rest].sum()), frames * table.shape[1]
+    hits = full * int(np.count_nonzero(hit)) + int(np.count_nonzero(hit[:rest]))
+    return hits, frames * table.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,9 +223,9 @@ def simulate_ser(config: SimConfig) -> SerCurve:
     hit, sent = _exposure(config.scheme, config.interference_slots, config.frames)
     n_hit, total = hit * config.symbols_per_slot, sent * config.symbols_per_slot
     interference_var = 10.0 ** (config.interference_power_db / 10.0)
+    streams = rng._substreams(config.seed, rng.DOMAIN_SIMULATOR, len(config.snr_db))
     points = []
-    for index, snr in enumerate(config.snr_db):
-        gen = rng.substream(config.seed, rng.DOMAIN_SIMULATOR, index)
+    for snr, gen in zip(config.snr_db, streams):
         n0 = 10.0 ** (-snr / 10.0)
         # Q(1/sqrt(v)) = erfc(1/sqrt(2v))/2, noise variance v = N0/2 (+ interference)
         p_clean = 0.5 * math.erfc(1.0 / math.sqrt(n0))

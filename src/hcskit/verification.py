@@ -297,6 +297,9 @@ def _proof(hcs_set: HcsSet) -> VerificationReport:
 
 def _frame_distinctness(seqs, t: int, rows: np.ndarray) -> CheckResult:
     """The first sequence with an out-of-range or a repeated slot in the frames ``rows``."""
+    passed = CheckResult(True, "every frame holds distinct in-range slots")
+    if not rows.size:
+        return passed
     for s in seqs:
         frames = s.frames[rows]
         bad = np.nonzero((frames < 0) | (frames >= t))
@@ -315,7 +318,7 @@ def _frame_distinctness(seqs, t: int, rows: np.ndarray) -> CheckResult:
                 f"level {s.level} user {s.user} frame {f} repeats a slot: "
                 f"{tuple(int(x) for x in s.frames[f])}",
             )
-    return CheckResult(True, "every frame holds distinct in-range slots")
+    return passed
 
 
 def _occupancy(hcs_set, per_run, counts, labels, warnings) -> tuple[CheckResult, int | None]:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -311,6 +312,7 @@ class TestRunScript:
             state, _, _ = sac.run_script(hcs_set, script)
             got = [(e.frame, e.kind, e.user, e.level, e.sequence) for e in state.events]
             assert got == shadow_events(hcs_set, script)
+            assert [e.to_dict() for e in state.events] == list(map(dataclasses.asdict, state.events))
 
     @pytest.mark.parametrize("order", ["tail", "head"])
     def test_long_queue_matches_shadow_model(self, set24, order):

@@ -18,6 +18,8 @@ from hcskit import (
 )
 from hcskit.simulator import scenario_label
 
+from conftest import remake_set
+
 
 def qfunc(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
@@ -183,13 +185,35 @@ class TestHitFraction:
 
     def test_per_cycle_count_matches_tiled_table(self, set128, set32):
         # frame counts off the cycle lengths (1, 32, 128) leave a partial last cycle
-        schemes = (HcsScheme(set128), HcsScheme(set32, level=1), FixedScheme((0, 2, 4, 5)))
+        def stray_slots(index, frames):
+            # an unverified set: negative slots, slots >= t, and a table of only negatives
+            if index == 2:
+                frames[::3, 0] = -1
+                frames[1::5, 1] = 9
+                frames[2::7, 3] = -(2**62)
+            if index == 0:
+                frames[:] = -4
+
+        stray = remake_set(set128, stray_slots)
+        schemes = (
+            HcsScheme(set128),
+            HcsScheme(set32, level=1),
+            HcsScheme(stray),
+            HcsScheme(stray, level=0),
+            FixedScheme((0, 2, 4, 5)),
+            FixedScheme((3, 2**40)),
+        )
         for scheme in schemes:
             for frames in (1, 31, 33, 127, 300, 1000):
                 tiled = scheme.frame_slots(frames)
-                for slots in ((2,), (1, 4, 5)):
+                for slots in ((), (2,), (1, 4, 5), (3, 9), (2**40,)):
                     hit = int(np.isin(tiled, slots).sum())
                     assert simulator._exposure(scheme, slots, frames) == (hit, tiled.size)
+
+    def test_slot_numbers_past_any_table(self):
+        # neither the interfered slot nor a fixed one sizes a slot mask
+        assert interference_hit_fraction(FixedScheme((0, 2)), (10**15,), 10) == 0.0
+        assert interference_hit_fraction(FixedScheme((0, 10**15)), (10**15,), 10) == 0.5
 
 
 class TestSimulatedSer:
@@ -280,6 +304,44 @@ class TestSimulatedSer:
         a = simulate_ser(SimConfig(**base, seed=1)).points[0]
         b = simulate_ser(SimConfig(**base, seed=2)).points[0]
         assert a.symbols_error != b.symbols_error
+
+
+class TestStreams:
+    @pytest.mark.parametrize(
+        "scheme, slots, power_db",
+        [
+            ("fixed", (), 10.0),
+            ("fixed", (2,), 10.0),
+            ("fixed", (0, 2, 4, 5), -10.0),
+            ("hcs", (), 10.0),
+            ("hcs", (2,), -10.0),
+            ("hcs", (1, 4, 5), 15.0),
+        ],
+    )
+    def test_each_point_draws_its_substream(self, set128, scheme, slots, power_db):
+        # repeated SNR values give consecutive points the same (n, p), so a
+        # generator kept across points reuses numpy's binomial set-up
+        snr_db = (-3.0, -3.0, 4.0, 4.0, 8.0, 14.0, 14.0, 4.0)
+        scheme = FixedScheme((0, 2, 4, 5)) if scheme == "fixed" else HcsScheme(set128)
+        cfg = SimConfig(
+            t=8, scheme=scheme, snr_db=snr_db, interference_slots=slots,
+            interference_power_db=power_db, symbols_per_slot=8, frames=300, seed=2**64 - 5,
+        )
+        tiled = scheme.frame_slots(cfg.frames)
+        n_hit = int(np.isin(tiled, slots).sum()) * cfg.symbols_per_slot
+        n_clean = tiled.size * cfg.symbols_per_slot - n_hit
+        interference_var = 10.0 ** (power_db / 10.0)
+        want, np_draws = [], []
+        for index, snr in enumerate(snr_db):
+            gen = rng.substream(cfg.seed, rng.DOMAIN_SIMULATOR, index)
+            n0 = 10.0 ** (-snr / 10.0)
+            p_clean = 0.5 * math.erfc(1.0 / math.sqrt(n0))
+            p_hit = 0.5 * math.erfc(1.0 / math.sqrt(n0 + 2.0 * interference_var))
+            want.append(int(gen.binomial(n_clean, p_clean)) + int(gen.binomial(n_hit, p_hit)))
+            np_draws += [n * p for n, p in ((n_clean, p_clean), (n_hit, p_hit)) if n]
+        assert [p.symbols_error for p in simulate_ser(cfg).points] == want
+        # numpy draws by inversion when n*p <= 30 and by BTPE above
+        assert min(np_draws) <= 30 < max(np_draws)
 
 
 class TestSymbolLevelOracle:
