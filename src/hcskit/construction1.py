@@ -136,18 +136,20 @@ def unrank_permutations(ranks: np.ndarray, m: int) -> np.ndarray:
     of its rank, most significant first: digit k picks the k-th output as
     the digit-th smallest value not yet taken.  The right-to-left fix-up
     then turns those digits into values: each later entry at or above the
-    entry at k moves up by one.
+    entry at k moves up by one.  The work runs digit-major, on an (m, N)
+    array whose digit k is one contiguous row, and the rows are its
+    transpose.
     """
-    out = np.empty((len(ranks), m), dtype=np.int64)
+    digits = np.empty((m, len(ranks)), dtype=np.int64)
     rest = ranks
     for k in range(m):
         place = factorial(m - 1 - k)
-        out[:, k] = rest // place
+        digits[k] = rest // place
         rest = rest % place
     for k in range(m - 2, -1, -1):
-        tail = out[:, k + 1 :]
-        tail += tail >= out[:, k : k + 1]
-    return out
+        tail = digits[k + 1 :]
+        tail += tail >= digits[k]
+    return digits.T
 
 
 def derive_drivers(config: SystemConfig, params: Cons1Params | None = None) -> DriverSequences:

@@ -213,6 +213,15 @@ def _frozen(arr: np.ndarray) -> bool:
     return not arr.flags.writeable
 
 
+def _tables_frozen(hcs_set: HcsSet) -> bool:
+    """Whether every sequence table of ``hcs_set`` is read-only down its
+    ``.base`` chain: the rule by which anything read off a set's tables (a
+    proof, a set a pipeline saved, the audit's slot table) is kept for the
+    set object.  A table made writable, written and made read-only again
+    between two checks is not detected."""
+    return all(_frozen(s.frames) for s in hcs_set.sequences)
+
+
 @dataclass(frozen=True, eq=False)
 class HcsSequence:
     """One user's slot schedule: an (l, r) integer array, row per frame.
@@ -714,14 +723,13 @@ def _keeping_written():
 
 def _kept_set(path, data: bytes) -> HcsSet | None:
     """The set saved to ``path`` in this scope if ``data`` are the bytes
-    written and every table of the set is still read-only down its ``.base``
-    chain, the rule verification._proof keeps a proof by; None otherwise, and
+    written and ``_tables_frozen`` holds for the set; None otherwise, and
     outside a scope."""
     kept = _written.get(Path(path).resolve()) if _written is not None else None
     if kept is None or kept[0] != hashlib.sha256(data).digest():
         return None
     hcs_set = kept[1]
-    return hcs_set if all(_frozen(s.frames) for s in hcs_set.sequences) else None
+    return hcs_set if _tables_frozen(hcs_set) else None
 
 
 def save_set(hcs_set: HcsSet, path) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .core import (
     ConfigError,
     HcsSet,
+    _tables_frozen,
     check_instance,
     check_int,
     check_items,
@@ -314,20 +316,58 @@ class Audit:
             )
 
 
+# each audited set's side-by-side slot table; weak keys, so it keeps no set alive
+_slot_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _slot_table(hcs_set: HcsSet) -> np.ndarray:
+    """The set's sequence tables side by side, a column per roster slot, in
+    the narrowest unsigned dtype that holds slot t.
+
+    Built once per set object and kept while ``core._tables_frozen`` holds,
+    the rule verification._proof keeps a proof by; otherwise built on every
+    call and not kept.
+    """
+    if not _tables_frozen(hcs_set):
+        _slot_tables.pop(hcs_set, None)
+        return _side_by_side(hcs_set)
+    table = _slot_tables.get(hcs_set)
+    if table is None:
+        table = _slot_tables[hcs_set] = _side_by_side(hcs_set)
+    return table
+
+
+def _side_by_side(hcs_set: HcsSet) -> np.ndarray:
+    # init verified that every slot is in 0..t-1, so the narrowing cast is exact
+    table = np.concatenate(
+        [s.frames for s in hcs_set.sequences],
+        axis=1,
+        dtype=np.min_scalar_type(hcs_set.t),
+        casting="unsafe",
+    )
+    table.setflags(write=False)
+    return table
+
+
 def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
     """Audit and collisions of frames [0, end), built block by block.
 
-    The sequence tables sit side by side in one table, a column per roster
-    slot.  A block of frames is one (frames x columns) grid whose cells name
-    the holding that claims the column in the frame, or none, so the block's
-    slots are one gather from that table.  Each frame's row of slot * H +
-    holding keys (H a power of two no smaller than the number of holdings,
-    an empty cell t * H) is sorted on its own.  That orders the frame's
-    claims by (slot, user), holding order being user order, and a claim
-    whose slot equals the one before it is a collision.  A block is
-    frames_per_block(AUDIT_BLOCK_ROWS, load) frames, so its scratch stays
-    near AUDIT_BLOCK_ROWS cells whatever the frame size or the number of
-    holdings.
+    A block of frames is one (frames x sequences) grid whose cells tag the
+    holding of the sequence in the frame, or ``vacant`` (t * H) if none, H
+    a power of two no smaller than the number of holdings.  Widened to the
+    roster's slot columns, the tags are added to the block's slots shifted
+    up by log2(H), gathered in one pass from the set's side-by-side slot
+    table (see _slot_table), so a claim's key is slot * H + holding, below
+    vacant, and an empty cell's key is at least vacant and below 2 *
+    vacant.  Keys are int32 when 2 * vacant fits in an int32, int64
+    otherwise.  Each frame's row of keys is sorted on its own, which orders
+    its claims by (slot, user), holding order being user order, ahead of
+    its empty cells; a claim whose slot equals the one before it in its row
+    is a collision.  A frame's claims are its row's first cells, as many as
+    its held sequences have slots, so the frame column repeats each frame
+    that many times.  A block is frames_per_block(AUDIT_BLOCK_ROWS, load)
+    frames, so its scratch stays near AUDIT_BLOCK_ROWS cells whatever the
+    frame size or the number of holdings.
     """
     holdings = tuple(map(tuple, _holdings(state, end)))
     if not holdings:
@@ -336,16 +376,14 @@ def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
     first, stop, sequence = (np.array([h[i] for h in holdings]) for i in (0, 1, 4))
     seqs = state.hcs_set.sequences
     t, load = state.hcs_set.t, state.hcs_set.config.load
-    # init verified that every slot is in 0..t-1, so the narrowing cast is exact
-    table = np.concatenate(
-        [s.frames for s in seqs], axis=1, dtype=np.min_scalar_type(t), casting="unsafe"
-    )
+    table = _slot_table(state.hcs_set).ravel()
     widths = np.array([s.slots_per_frame for s in seqs])
     seq_of_column = np.repeat(np.arange(len(seqs)), widths)
     columns = np.arange(load)
     # H = 2**bits, so a key splits into slot and holding by shift and mask
     bits = (len(holdings) - 1).bit_length()
     vacant = t << bits
+    key_type = np.int32 if 2 * vacant <= np.iinfo(np.int32).max else np.int64
     rows = int(((stop - first) * widths[sequence]).sum())
     frame, slot, holding = (np.empty(rows, dtype=np.int64) for _ in range(3))
     collisions: list[tuple[int, int]] = []
@@ -356,34 +394,43 @@ def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
         live = np.flatnonzero((first < hi) & (stop > lo))
         if not live.size:
             continue
-        # holding + 1 steps up a sequence's column where the holding starts and
-        # back down where it stops; a sequence's holdings never overlap in
-        # time, so a running sum down the column paints each one's frames
-        step = np.zeros((hi - lo + 1, len(seqs)), dtype=np.int64)
-        step[np.maximum(first[live], lo) - lo, sequence[live]] = live + 1
-        step[np.minimum(stop[live], hi) - lo, sequence[live]] -= live + 1
-        holder = step[:-1].cumsum(axis=0) - 1
+        # each sequence's column starts at vacant, steps from vacant to the
+        # holding where a holding starts and back where it stops; a sequence's
+        # holdings never overlap in time, so a running sum down the column
+        # tags each frame with its holding, or vacant
+        step = np.zeros((hi - lo + 1, len(seqs)), dtype=key_type)
+        step[0] = vacant
+        step[np.maximum(first[live], lo) - lo, sequence[live]] += live - vacant
+        step[np.minimum(stop[live], hi) - lo, sequence[live]] -= live - vacant
+        tag = step[:-1].cumsum(axis=0, dtype=key_type)
+        claims = (tag < vacant) @ widths
         frames = np.arange(lo, hi)[:, None]
-        index = _frame_index(frames, first[holder], state.hcs_set.length, state.alignment)
+        # an empty cell reads the last holding's first frame; its key is at
+        # least vacant whatever slot that reads
+        start = first.take(tag, mode="clip")
+        index = _frame_index(frames, start, state.hcs_set.length, state.alignment)
         # a global index is one column, shared by every sequence
-        index = np.broadcast_to(index, holder.shape)[:, seq_of_column]
-        holder = holder[:, seq_of_column]
-        key = table.ravel().take(index * load + columns).astype(np.int64)
+        cell = np.broadcast_to(index * load, tag.shape)[:, seq_of_column]
+        cell += columns
+        key = table.take(cell).astype(key_type)
         key <<= bits
-        key += holder
-        key[holder < 0] = vacant
+        key += tag[:, seq_of_column]
         key.sort(axis=1)
-        key = key.ravel()
-        claimed = np.flatnonzero(key < vacant)
-        key = key.take(claimed)
-        out = slice(at, at + len(key))
-        at += len(key)
-        frame[out] = claimed // load + lo
-        slot[out] = key >> bits
-        holding[out] = key & ((1 << bits) - 1)
-        f, s = frame[out], slot[out]
-        dup = np.flatnonzero((s[1:] == s[:-1]) & (f[1:] == f[:-1])) + 1
-        collisions.extend(zip(f[dup].tolist(), s[dup].tolist()))
+        # a row's claims come first: a claim past its row's first whose slot
+        # repeats the one before it is a collision
+        high = (key >> bits).ravel()
+        dup = np.flatnonzero(high[1:] == high[:-1]) + 1
+        row, column = np.divmod(dup, load)
+        dup = dup[(column > 0) & (column < claims[row])]
+        collisions.extend(zip((dup // load + lo).tolist(), high[dup].tolist()))
+        count = int(claims.sum())
+        key = key.ravel() if count == key.size else key[key < vacant]
+        out = slice(at, at + count)
+        at += count
+        frame[out] = np.repeat(frames.ravel(), claims)
+        holding[out] = key
+        np.right_shift(holding[out], bits, out=slot[out])
+        holding[out] &= (1 << bits) - 1
     return Audit(frame, slot, holding, holdings), collisions
 
 

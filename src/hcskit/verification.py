@@ -15,7 +15,7 @@ import numpy as np
 
 from . import core
 from .bound import BoundReport, check_bound
-from .core import HcsSet, _frozen, check_instance, frames_per_block
+from .core import HcsSet, _tables_frozen, check_instance, frames_per_block
 
 # claim-grid cells verify counts in one block of frames
 CLAIM_BLOCK_CELLS = 1 << 16
@@ -278,15 +278,13 @@ def _provenance_key(hcs_set: HcsSet) -> tuple:
 def _proof(hcs_set: HcsSet) -> VerificationReport:
     """verify's report of ``hcs_set``, proved once per set object.
 
-    The report is reused while every sequence table is still read-only down
-    its whole ``.base`` chain and the provenance fields verify reads are
-    unchanged; otherwise the set is proved again, and the new report is
-    kept only if every table is read-only.  A table made writable, written
-    and made read-only again between two calls is not detected.
+    The report is reused while ``core._tables_frozen`` holds for the set and
+    the provenance fields verify reads are unchanged; otherwise the set is
+    proved again, and the new report is kept only if the tables are frozen.
     """
     check_instance(hcs_set, HcsSet, "set")
     key = _provenance_key(hcs_set)
-    if not all(_frozen(s.frames) for s in hcs_set.sequences):
+    if not _tables_frozen(hcs_set):
         _proofs.pop(hcs_set, None)
         return verify(hcs_set)
     kept = _proofs.get(hcs_set)

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcskit import ConfigError, HcsSet, SystemConfig, construct1, construct2, sac, verification
+from hcskit import (
+    ConfigError,
+    HcsSequence,
+    HcsSet,
+    SystemConfig,
+    construct1,
+    construct2,
+    sac,
+    verification,
+)
 
 from conftest import random_script, reference_audit, remake_set, shadow_events
 
@@ -658,3 +667,147 @@ class TestAuditGrid:
         assert (list(audit), collisions) == reference_audit(set24, script, alignment)
         holders = {row[0]: row[2] for row in audit}
         assert holders == {0: "a", 1: "a", 2: "a", 3: "a", 4: "b", 5: "b", 6: "c", 7: "c", 8: "c"}
+
+
+def fits_int32(hcs_set, audit) -> bool:
+    """The audit's key rule: int32 keys when 2 * (t << bits) fits in int32,
+    2**bits being the power of two the holdings fit below."""
+    bits = (len(audit.holdings) - 1).bit_length()
+    return 2 * (hcs_set.t << bits) <= np.iinfo(np.int32).max
+
+
+def late_joiner_script(hcs_set, frames):
+    """Every sequence held from frame 0 but the last, whose holder joins at
+    frame 5; the first holder leaves at frame 9 and joins again at frame 12.
+    Under per-user alignment the late joiner is off the others' positions."""
+    users = [(f"u{i}", s.level) for i, s in enumerate(hcs_set.sequences)]
+    script = [
+        {"frame": 0 if i < len(users) - 1 else 5, "action": "join", "user": u, "level": lv}
+        for i, (u, lv) in enumerate(users)
+    ]
+    script += [
+        {"frame": 9, "action": "leave", "user": "u0"},
+        {"frame": 12, "action": "join", "user": "u0", "level": users[0][1]},
+        {"frame": frames - 1, "action": "leave", "user": "u1"},
+    ]
+    return script
+
+
+@pytest.fixture(scope="module")
+def set240():
+    """Permutation-table set on a 240-slot frame: 64 sequences, 2880 frames."""
+    levels = ((1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (12, 10))
+    return construct1(SystemConfig(t=240, levels=levels, seed=240))
+
+
+@pytest.fixture(scope="module")
+def wide_set():
+    """A collision-free c1-provenance set on 2**20 slots and 64 frames.
+
+    Four slots near the top of the frame pass round three sequences (two
+    of one slot, one of two), one position on per frame.
+    """
+    t, length = 1 << 20, 64
+    pool = t - 1 - 3 * np.arange(4)
+    slots = pool[(np.arange(length)[:, None] + np.arange(4)) % 4]
+    return HcsSet(
+        config=SystemConfig(t=t, levels=((1, 2), (2, 1))),
+        length=length,
+        sequences=(
+            HcsSequence(level=0, user=0, frames=slots[:, :1]),
+            HcsSequence(level=0, user=1, frames=slots[:, 1:2]),
+            HcsSequence(level=1, user=0, frames=slots[:, 2:]),
+        ),
+        provenance={"kind": "c1", "params": {}},
+    )
+
+
+class TestKeyWidth:
+    @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
+    @pytest.mark.parametrize("name", ["set24", "set240"])
+    def test_narrow_keys_match_reference(self, request, name, alignment):
+        hcs_set = request.getfixturevalue(name)
+        script = late_joiner_script(hcs_set, frames=40)
+        _, audit, collisions = sac.run_script(hcs_set, script, alignment=alignment)
+        assert fits_int32(hcs_set, audit)
+        assert [c.dtype for c in (audit.frame, audit.slot, audit.holding)] == [np.int64] * 3
+        assert (list(audit), collisions) == reference_audit(hcs_set, script, alignment)
+        assert bool(collisions) == (alignment == "per-user")
+
+    @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
+    def test_wide_keys_match_reference(self, wide_set, alignment):
+        # the two 1-slot users leave and join again every frame, 1040
+        # holdings, so bits = 11 and t << bits is 2**31; the 2-slot user
+        # holds frames 10..299 only, so other frames have empty cells
+        frames = 520
+        script = [
+            entry
+            for frame in range(frames)
+            for user in ("a", "b")
+            for entry in ([{"frame": frame, "action": "leave", "user": user}] if frame else [])
+            + [{"frame": frame, "action": "join", "user": user, "level": 0}]
+        ]
+        script += [
+            {"frame": 10, "action": "join", "user": "c", "level": 1},
+            {"frame": 300, "action": "leave", "user": "c"},
+        ]
+        _, audit, collisions = sac.run_script(wide_set, script, alignment=alignment)
+        assert len(audit.holdings) > 1024 and not fits_int32(wide_set, audit)
+        assert (list(audit), collisions) == reference_audit(wide_set, script, alignment)
+        assert audit.slot.min() >= wide_set.t - 10
+        assert bool(collisions) == (alignment == "per-user")
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The sets the audit has built a side-by-side slot table for, one entry a build."""
+    calls = []
+    side_by_side = sac._side_by_side
+
+    def counted(hcs_set):
+        calls.append(hcs_set)
+        return side_by_side(hcs_set)
+
+    monkeypatch.setattr(sac, "_side_by_side", counted)
+    return calls
+
+
+class TestSlotTableReuse:
+    def test_repeated_replays_build_one_table(self, cfg24, table_builds):
+        s = construct1(cfg24)
+        script = late_joiner_script(s, frames=20)
+        audits = [sac.run_script(s, script)[1] for _ in range(3)]
+        assert len(table_builds) == 1
+        assert all(list(a) == list(audits[0]) for a in audits)
+        table = sac._slot_tables[s]
+        assert table.dtype == np.uint8 and table.shape == (s.length, s.config.load)
+        assert not table.flags.writeable
+
+    def test_owner_made_writable_rebuilds_the_table(self, cfg24, table_builds):
+        s = construct1(cfg24)
+        script = late_joiner_script(s, frames=20)
+        sac.run_script(s, script)
+        # make two level-1 owners writable and swap their frame-0 rows: the
+        # set still verifies, and frame 0's claims change hands
+        a, b = (q.frames for q in s.sequences[3:5])
+        for frames in (a, b):
+            frames.base.setflags(write=True)
+            frames.setflags(write=True)
+        a[0], b[0] = b[0].copy(), a[0].copy()
+        for _ in range(2):
+            _, audit, collisions = sac.run_script(s, script)
+            assert (list(audit), collisions) == reference_audit(s, script)
+        # a table built while a table is writable is built on every call, not kept
+        assert len(table_builds) == 3
+        assert s not in sac._slot_tables
+
+    def test_memo_keeps_no_set_alive(self, cfg24):
+        s = construct1(cfg24)
+        sac.run_script(s, ONE_JOIN)
+        held = len(sac._slot_tables)
+        kept = weakref.ref(s)
+        assert kept() in sac._slot_tables
+        del s
+        gc.collect()
+        assert kept() is None
+        assert len(sac._slot_tables) < held
