@@ -96,7 +96,10 @@ def check_db(value, what: str) -> float:
     divide by zero.
     """
     try:
-        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        # an int or float, the common case, skips the slower numbers.Real check
+        if type(value) in (float, int) or (
+            isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ):
             x = float(value)
             if math.isfinite(10.0 ** (abs(x) / 10.0)):
                 return x

@@ -6,13 +6,14 @@ re-derived from the recorded seed alone.
 
 The (seed, domain, index) stream is the one a Philox keyed
 [seed, domain << 32 | index] gives, from counter 0.  Point i of a simulated
-SER curve draws from the (seed, DOMAIN_SIMULATOR, i) stream; a curve re-keys
-one generator to each point's stream in turn, which draws the same numbers as
-a fresh substream per point.
+SER curve draws from the (seed, DOMAIN_SIMULATOR, i) stream.  A curve's keys
+are checked once, and one generator is re-keyed to each point's stream in
+turn, which draws the same numbers as a fresh substream per point; a
+comparison re-keys one generator for both of its arms.
 """
 from __future__ import annotations
 
-from typing import Iterator
+import functools
 
 import numpy as np
 
@@ -54,21 +55,42 @@ def substream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _substreams(seed: int, domain: int, count: int) -> Iterator[np.random.Generator]:
-    """The streams substream(seed, domain, i) gives, for i in range(count).
+@functools.cache
+def _zero_key():
+    """A seed sequence that hands a new Philox the all-zero key.  Without a
+    seed, Philox would seed a SeedSequence from OS entropy, and _rekey
+    overwrites its key anyway.  Built on first use, so that importing the
+    toolkit does not load numpy.random."""
 
-    One Generator is re-keyed for each: its Philox is set to the state a new
-    one keyed for that stream starts in, so no bit generator is built per
-    stream.  Each yield re-keys the Generator the previous one returned.
-    """
-    gen = substream(seed, domain)
-    for index in range(count):
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": _key(seed, domain, index)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
+    class ZeroKey(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return ZeroKey()
+
+
+def _generator() -> np.random.Generator:
+    """A Philox Generator for _rekey to point at one stream after another."""
+    return np.random.Generator(np.random.Philox(_zero_key()))
+
+
+def _keys(seed: int, domain: int, count: int) -> list[tuple[int, int]]:
+    """Philox keys of the streams substream(seed, domain, i) gives, for i in
+    range(count), count >= 1; checked as substream checks them, once: the
+    seed, and the last index, which bounds the others."""
+    seed, last = _key(seed, domain, count - 1)
+    return [(seed, key) for key in range(last - count + 1, last + 1)]
+
+
+def _rekey(gen: np.random.Generator, key: tuple[int, int]) -> None:
+    """Set ``gen``'s Philox to the state a new one keyed ``key`` starts in, so
+    it draws what a new generator for that stream would; unchecked, since the
+    key comes from _keys."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

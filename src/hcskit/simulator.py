@@ -115,6 +115,10 @@ _MASK_SLOTS = 1 << 16
 def _exposure(scheme: Scheme, interference_slots: Sequence[int], frames: int) -> tuple[int, int]:
     """(interfered, sent) slot counts over ``frames`` frames, counted per cycle:
     full cycles times one cycle's hits, plus the leading rows of the last one."""
+    if isinstance(scheme, FixedScheme):
+        # a one-frame cycle, counted in Python: cheaper than numpy passes over one row
+        hits = len(set(scheme.slots).intersection(interference_slots))
+        return frames * hits, frames * len(scheme.slots)
     table = scheme.cycle_slots()
     top = int(table.max())
     if top < _MASK_SLOTS:
@@ -220,23 +224,30 @@ def simulate_ser(config: SimConfig) -> SerCurve:
     points are independent.
     """
     check_instance(config, SimConfig, "simulation config")
+    total, errors = _curve(config, rng._generator())
+    return SerCurve(
+        scheme=config.scheme.label,
+        scenario=scenario_label(config.interference_slots, config.interference_power_db),
+        points=tuple(SerPoint(snr, e / total, total, e) for snr, e in zip(config.snr_db, errors)),
+    )
+
+
+def _curve(config: SimConfig, gen: np.random.Generator) -> tuple[int, list[int]]:
+    """Symbols sent at each SNR point, and each point's error count, drawn by
+    ``gen`` re-keyed to the point's stream."""
     hit, sent = _exposure(config.scheme, config.interference_slots, config.frames)
     n_hit, total = hit * config.symbols_per_slot, sent * config.symbols_per_slot
     interference_var = 10.0 ** (config.interference_power_db / 10.0)
-    streams = rng._substreams(config.seed, rng.DOMAIN_SIMULATOR, len(config.snr_db))
-    points = []
-    for snr, gen in zip(config.snr_db, streams):
+    keys = rng._keys(config.seed, rng.DOMAIN_SIMULATOR, len(config.snr_db))
+    errors = []
+    for snr, key in zip(config.snr_db, keys):
+        rng._rekey(gen, key)
         n0 = 10.0 ** (-snr / 10.0)
         # Q(1/sqrt(v)) = erfc(1/sqrt(2v))/2, noise variance v = N0/2 (+ interference)
         p_clean = 0.5 * math.erfc(1.0 / math.sqrt(n0))
         p_hit = 0.5 * math.erfc(1.0 / math.sqrt(n0 + 2.0 * interference_var))
-        errors = int(gen.binomial(total - n_hit, p_clean)) + int(gen.binomial(n_hit, p_hit))
-        points.append(SerPoint(float(snr), errors / total, total, errors))
-    return SerCurve(
-        scheme=config.scheme.label,
-        scenario=scenario_label(config.interference_slots, config.interference_power_db),
-        points=tuple(points),
-    )
+        errors.append(int(gen.binomial(total - n_hit, p_clean)) + int(gen.binomial(n_hit, p_hit)))
+    return total, errors
 
 
 @dataclass(frozen=True)
@@ -269,11 +280,13 @@ class ComparisonReport:
 def compare_schemes(config_a: SimConfig, config_b: SimConfig) -> ComparisonReport:
     """Paired SER comparison of two schemes under one scenario.
 
-    Both configs must agree on everything except the scheme and seed.  With
-    equal seeds both arms draw each point from the same (seed, point) substream,
-    so compare_schemes(cfg, cfg) gives delta 0.  delta is ser_a - ser_b per
-    point; sigma is its standard deviation for independent arms, and a point
-    is flagged when scheme B is worse than A by more than three sigmas.
+    Both configs must agree on everything except the scheme and seed.  Each
+    arm draws what simulate_ser draws for it: one generator is re-keyed to
+    each arm's (seed, point) substreams in turn.  With equal seeds both arms
+    draw each point from the same substream, so compare_schemes(cfg, cfg)
+    gives delta 0.  delta is ser_a - ser_b per point; sigma is its standard
+    deviation for independent arms, and a point is flagged when scheme B is
+    worse than A by more than three sigmas.
     """
     check_instance(config_a, SimConfig, "simulation config")
     check_instance(config_b, SimConfig, "simulation config")
@@ -287,27 +300,27 @@ def compare_schemes(config_a: SimConfig, config_b: SimConfig) -> ComparisonRepor
     ):
         if getattr(config_a, name) != getattr(config_b, name):
             raise ConfigError(f"scenario mismatch between schemes: {name} differs")
-    curve_a = simulate_ser(config_a)
-    curve_b = simulate_ser(config_b)
+    gen = rng._generator()
+    total_a, errors_a = _curve(config_a, gen)
+    total_b, errors_b = _curve(config_b, gen)
     rows = []
-    for pa, pb in zip(curve_a.points, curve_b.points):
-        var = pa.ser * (1.0 - pa.ser) / pa.symbols_total
-        var += pb.ser * (1.0 - pb.ser) / pb.symbols_total
+    for snr, error_a, error_b in zip(config_a.snr_db, errors_a, errors_b):
+        ser_a, ser_b = error_a / total_a, error_b / total_b
+        var = ser_a * (1.0 - ser_a) / total_a + ser_b * (1.0 - ser_b) / total_b
         sigma = math.sqrt(var)
-        delta = pa.ser - pb.ser
         rows.append(
             ComparisonRow(
-                snr_db=pa.snr_db,
-                ser_a=pa.ser,
-                ser_b=pb.ser,
-                delta=delta,
+                snr_db=snr,
+                ser_a=ser_a,
+                ser_b=ser_b,
+                delta=ser_a - ser_b,
                 sigma=sigma,
-                b_exceeds_a=pb.ser > pa.ser + 3.0 * sigma,
+                b_exceeds_a=ser_b > ser_a + 3.0 * sigma,
             )
         )
     return ComparisonReport(
-        scheme_a=curve_a.scheme,
-        scheme_b=curve_b.scheme,
-        scenario=curve_a.scenario,
+        scheme_a=config_a.scheme.label,
+        scheme_b=config_b.scheme.label,
+        scenario=scenario_label(config_a.interference_slots, config_a.interference_power_db),
         rows=tuple(rows),
     )

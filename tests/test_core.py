@@ -1,3 +1,5 @@
+import decimal
+import fractions
 import json
 
 import numpy as np
@@ -30,7 +32,7 @@ from hcskit import (
     verify,
 )
 from hcskit.construction2 import cons2_params
-from hcskit.core import _load_canonical, _tables_bytes
+from hcskit.core import _load_canonical, _tables_bytes, check_db
 
 from conftest import remake_set, subsequences
 
@@ -295,6 +297,34 @@ class TestConfigTypes:
         cfg = SystemConfig(t=8, levels=((4, 3),))
         assert cfg.load == 12
         assert not cfg.saturated
+
+
+class TestCheckDb:
+    # plain int and float take a shortcut past the numbers.Real check; these
+    # cases pin that both paths together accept and refuse what that check does
+    @pytest.mark.parametrize(
+        "value",
+        [7, -3.5, 0, 3000, -3000.0, np.float64(2.5), np.int64(-4), fractions.Fraction(1, 3)],
+        ids=["int", "float", "zero", "int-3000", "float-minus-3000", "np.float64", "np.int64",
+             "Fraction"],
+    )
+    def test_accepted(self, value):
+        got = check_db(value, "SNR point")
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.bool_(True), "3", None, 1 + 0j, decimal.Decimal("3"), float("nan"),
+         float("inf"), float("-inf"), 10**400, 4000.0, -4000],
+        ids=["bool", "np.bool_", "str", "None", "complex", "Decimal", "nan", "inf", "-inf",
+             "10**400", "float-4000", "int-minus-4000"],
+    )
+    def test_refused(self, value):
+        with pytest.raises(ConfigError) as excinfo:
+            check_db(value, "SNR point")
+        assert str(excinfo.value) == (
+            f"SNR point must be a finite dB value whose power ratio fits a float, got {value!r}"
+        )
 
 
 class TestSlotTables:

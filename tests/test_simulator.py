@@ -343,6 +343,39 @@ class TestStreams:
         # numpy draws by inversion when n*p <= 30 and by BTPE above
         assert min(np_draws) <= 30 < max(np_draws)
 
+    @pytest.mark.parametrize("schemes", [("fixed", "fixed"), ("fixed", "hcs"), ("hcs", "fixed")])
+    def test_compare_arms_draw_their_substreams(self, set128, schemes):
+        # one generator serves both arms: arm A's last point and arm B's first
+        # share an SNR value, so with equal schemes they share (n, p) and numpy's
+        # binomial set-up carries over from one arm's stream to the other's
+        snr_db = (4.0, -3.0, -3.0, 14.0, 4.0)
+        seeds = (2**64 - 5, 17)
+        configs = [
+            SimConfig(
+                t=8, scheme=FixedScheme((0, 2, 4, 5)) if kind == "fixed" else HcsScheme(set128),
+                snr_db=snr_db, interference_slots=(2, 5), interference_power_db=10.0,
+                symbols_per_slot=8, frames=300, seed=seed,
+            )
+            for kind, seed in zip(schemes, seeds)
+        ]
+        rows = compare_schemes(*configs).rows
+        for cfg, sers in zip(configs, ([r.ser_a for r in rows], [r.ser_b for r in rows])):
+            tiled = cfg.scheme.frame_slots(cfg.frames)
+            total = tiled.size * cfg.symbols_per_slot
+            n_hit = int(np.isin(tiled, cfg.interference_slots).sum()) * cfg.symbols_per_slot
+            want = []
+            for index, snr in enumerate(snr_db):
+                gen = rng.substream(cfg.seed, rng.DOMAIN_SIMULATOR, index)
+                n0 = 10.0 ** (-snr / 10.0)
+                p_clean = 0.5 * math.erfc(1.0 / math.sqrt(n0))
+                p_hit = 0.5 * math.erfc(1.0 / math.sqrt(n0 + 2.0 * 10.0))  # 10 dB interferer
+                errors = int(gen.binomial(total - n_hit, p_clean))
+                want.append(errors + int(gen.binomial(n_hit, p_hit)))
+            assert sers == [errors / total for errors in want]
+            curve = simulate_ser(cfg)
+            assert [p.symbols_error for p in curve.points] == want
+            assert sers == [p.ser for p in curve.points]
+
 
 class TestSymbolLevelOracle:
     def test_binomial_draw_matches_symbol_level(self, set128):
