@@ -16,7 +16,7 @@ rank is decoded at once (``unrank_permutations``): its factorial-base
 digits are taken in uint64, since 20! - 1 fits, and a right-to-left fix-up
 turns those digits into the permutation.  Each level then gets its (user,
 frame, run) positions in one broadcast and its slots in one gather from the
-decoded rows.
+decoded rows, in the set's slot dtype (core.slot_dtype).
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ from .core import (
     check_items,
     level_offsets,
     max_frames,
+    slot_dtype,
 )
 
 # 21! does not fit the 64-bit selector entries, so block counts keep the
@@ -218,8 +219,12 @@ def construct1(config: SystemConfig, drivers: DriverSequences | None = None) -> 
     m = params.m
     perm_rows = unrank_permutations(drivers.selector, m)
     # each frame's permutation row twice over, so the position p + s of two
-    # offsets p, s < m is read without a mod
-    wide = np.concatenate([perm_rows, perm_rows], axis=1).ravel()
+    # offsets p, s < m is read without a mod; held in the set's slot dtype
+    # (every entry is below m <= t), so each level's gather builds its table
+    # in that dtype
+    wide = np.concatenate(
+        [perm_rows, perm_rows], axis=1, dtype=slot_dtype(config.t), casting="unsafe"
+    ).ravel()
     row_start = np.arange(length) * (2 * m)
 
     sequences = []
@@ -241,7 +246,8 @@ def construct1(config: SystemConfig, drivers: DriverSequences | None = None) -> 
         # index now holds each slot's block, whose first slot is block * m
         np.add(offset[:, :, None], runs, out=index)
         index *= m
-        frames += index
+        # every slot is below t, so the sum fits the narrow dtype
+        np.add(frames, index, out=frames, casting="unsafe")
         frames.setflags(write=False)
         for j in users.tolist():
             sequences.append(HcsSequence(level=i, user=j, frames=frames[j]))

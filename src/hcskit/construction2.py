@@ -23,7 +23,8 @@ so e is built for all d^n blocks, one appended digit per round.  Up to d^2
 blocks (n <= 2), each block's slots are computed directly.  Past that, each
 sequence gets a table with one row of t slot tuples per (e, a_1) pair, and
 its frames are one gather from that table.  Either way no table is larger
-than the set.
+than the set: tables are held in the set's slot dtype (core.slot_dtype) and
+computed in int64 a few blocks at a time.
 """
 from __future__ import annotations
 
@@ -39,9 +40,15 @@ from .core import (
     SystemConfig,
     check_instance,
     check_int,
+    frames_per_block,
     level_offsets,
     max_frames,
+    slot_dtype,
 )
+
+# int64 cells one pass of _table takes, so its scratch stays near 64 KiB
+# however long the set
+TABLE_BLOCK_CELLS = 1 << 13
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -145,6 +152,28 @@ def cons2_params(
     return Cons2Params(g=g, d=d, n=n, omega2=omega2)
 
 
+def _table(rows: np.ndarray, a1: np.ndarray, mult: np.ndarray, t: int) -> np.ndarray:
+    """The (len(a1), t, r) table ``(rows + a1[i]) * mult[i] mod t`` of the
+    (t, r) array ``rows``, in ``slot_dtype(t)``.
+
+    It is computed a few blocks at a time in one int64 scratch of about
+    TABLE_BLOCK_CELLS cells, written in place: a ufunc that broadcasts into
+    a new array also allocates a buffer of about that array's size.
+    """
+    table = np.empty((len(a1),) + rows.shape, slot_dtype(t))
+    step = min(frames_per_block(TABLE_BLOCK_CELLS, rows.size), len(a1))
+    scratch = np.empty((step,) + rows.shape, np.int64)
+    for lo in range(0, len(a1), step):
+        block = scratch[:len(a1) - lo]
+        hi = lo + len(block)
+        block[:] = rows
+        block += a1[lo:hi, None, None]
+        block *= mult[lo:hi, None, None]
+        block %= t
+        table[lo:hi] = block
+    return table
+
+
 def construct2(
     config: SystemConfig,
     n: int,
@@ -178,17 +207,15 @@ def construct2(
         key = e * params.d + a1
         e, a1 = np.divmod(np.arange(params.d**2), params.d)
     pow_g = np.array([pow(params.g, x, t) for x in range(params.d)], dtype=np.int64)
-    mult = pow_g[e][:, None, None]
-    shift = (a1[:, None] + np.arange(t))[:, :, None]
+    mult = pow_g[e]
 
     sequences = []
     for i, lv in enumerate(config.levels):
         for j in range(lv.u):
             first_row = params.omega2[i] + j * lv.r
-            rows = np.arange(first_row, first_row + lv.r, dtype=np.int64)
-            table = rows + shift
-            table *= mult
-            table %= t
+            # row + k at slot k of a block, before its shift a1 and unit power
+            rows = np.arange(first_row, first_row + lv.r) + np.arange(t)[:, None]
+            table = _table(rows, a1, mult, t)
             frames = table if key is None else table.take(key, axis=0)
             frames.setflags(write=False)
             sequences.append(HcsSequence(level=i, user=j, frames=frames.reshape(length, lv.r)))

@@ -131,6 +131,22 @@ def max_frames(t: int) -> int:
     return SET_CELL_BUDGET // t
 
 
+# the dtypes HcsSequence keeps a table in; slot_dtype picks one of them
+_SLOT_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16, np.uint32, np.int64)))
+
+
+def slot_dtype(t: int) -> np.dtype:
+    """The dtype a set of frame size ``t`` holds its in-range slot tables in:
+    the narrowest of uint8, uint16 and uint32 that holds slot t - 1, and
+    int64 past 2**32 slots, so no table is uint64 and none mixes with an
+    int64 into float64.
+
+    Arithmetic of a narrow table with a Python int wraps in the table's
+    dtype, so cast a table to int64 before computing with it.
+    """
+    return next(d for d in _SLOT_DTYPES if d == np.int64 or t - 1 <= np.iinfo(d).max)
+
+
 @dataclass(frozen=True)
 class LevelSpec:
     """One access level: each of ``u`` users claims ``r`` slots per frame."""
@@ -229,10 +245,12 @@ def _tables_frozen(hcs_set: HcsSet) -> bool:
 class HcsSequence:
     """One user's slot schedule: an (l, r) integer array, row per frame.
 
-    The sequence owns a read-only int64 table: a C-contiguous int64 array is
-    kept as given only if it and every array it views are read-only, and any
-    other input is copied, so the caller's array and its flags are left as
-    they were.
+    The sequence owns a read-only table of dtype uint8, uint16, uint32 or
+    int64: a C-contiguous array of one of those dtypes is kept as given only
+    if it and every array it views are read-only, and otherwise copied in
+    its own dtype; an array of any other integer dtype is copied to int64.
+    The caller's array and its flags are left as they were.  A set holds its
+    in-range tables in ``slot_dtype(t)`` (see HcsSet).
     """
 
     level: int
@@ -249,8 +267,9 @@ class HcsSequence:
             raise ConfigError(f"frames must fit in int64, got slot {int(arr.max())}")
         if arr.ndim != 2:
             raise ConfigError(f"frames must be a 2-D array, got shape {arr.shape}")
-        if not (arr.dtype == np.int64 and arr.flags.c_contiguous and _frozen(arr)):
-            arr = np.array(arr, dtype=np.int64, order="C")
+        dtype = arr.dtype if arr.dtype in _SLOT_DTYPES else np.dtype(np.int64)
+        if not (arr.dtype == dtype and arr.flags.c_contiguous and _frozen(arr)):
+            arr = np.array(arr, dtype=dtype, order="C")
             arr.setflags(write=False)
         object.__setattr__(self, "frames", arr)
 
@@ -276,6 +295,12 @@ class HcsSet:
     expectation, so the params of a c2 set must hold its d and n as
     non-negative ints.  Sequences are kept sorted by (level, user) so positional
     sequence ids are stable across save/load.
+
+    Each table whose slots all lie in 0..t-1 is held in ``slot_dtype(t)``: a
+    sequence whose table came in another dtype is replaced by one over a
+    copy in that dtype, all such copies sharing one read-only buffer.  A
+    table with a slot outside that range keeps its dtype, so verify can name
+    the value.
     """
 
     config: SystemConfig
@@ -317,6 +342,7 @@ class HcsSet:
                     f"sequence ({s.level},{s.user}) has {s.slots_per_frame}-slot frames, "
                     f"level demands {cfg.levels[s.level].r}"
                 )
+        object.__setattr__(self, "sequences", _in_slot_dtype(seqs, cfg.t))
 
     @property
     def t(self) -> int:
@@ -327,6 +353,32 @@ class HcsSet:
             if s.level == level and s.user == user:
                 return s
         raise KeyError(f"no sequence for level {level}, user {user}")
+
+
+def _in_slot_dtype(seqs: tuple[HcsSequence, ...], t: int) -> tuple[HcsSequence, ...]:
+    """``seqs`` with every table of in-range slots in ``slot_dtype(t)``; the
+    tables that change are copied once, into one read-only buffer."""
+    dtype = slot_dtype(t)
+    # a set's tables are never empty: its length and every r are at least 1
+    moved = [
+        i for i, s in enumerate(seqs)
+        if s.frames.dtype != dtype and s.frames.min() >= 0 and s.frames.max() < t
+    ]
+    if not moved:
+        return seqs
+    # every moved slot lies in 0..t-1, so the cast is exact
+    buf = np.concatenate(
+        [seqs[i].frames.ravel() for i in moved], dtype=dtype, casting="unsafe"
+    )
+    buf.setflags(write=False)
+    seqs = list(seqs)
+    at = 0
+    for i in moved:
+        s = seqs[i]
+        table = buf[at:at + s.frames.size].reshape(s.frames.shape)
+        seqs[i] = HcsSequence(level=s.level, user=s.user, frames=table)
+        at += s.frames.size
+    return tuple(seqs)
 
 
 def hamming_correlation(x: Sequence[int], y: Sequence[int], tau: int = 0) -> int:
@@ -526,7 +578,7 @@ def write_text(path, text: str) -> None:
 #
 # A set file is dumps_document(to_document(s)): sorted keys put "sequences"
 # last but for "t", and each sequence is {"frames":[[...],...],"level":L,"user":U}.
-# save_set writes that text straight from the int64 tables and load_set reads
+# save_set writes that text straight from the slot tables and load_set reads
 # it back in numpy, so neither builds a Python int per slot.
 
 # 10, 100, ..., 10**19: a magnitude has one digit more than the powers it reaches
@@ -561,12 +613,13 @@ def _tables_bytes(
     ``json.dumps(tables[i].tolist(), separators=(",", ":"))``; with
     ``_CSV_ROWS`` it is what ``csv.writer`` writes of those lists.
 
-    ``tables`` are int64 arrays of shape (l, r) with l, r >= 1, ``seps`` ASCII
-    strings, one more than the tables, and ``layout`` ASCII strings, ``cell``
-    of one character and ``brk`` shorter than ``_ROW_BREAK``.  Every value's
-    sign, magnitude and text width go into flat arrays first; then the values
-    are written ``_BLOCK`` at a time into one byte buffer: their places from a
-    cumulative sum of the widths, then one scatter per decimal place.
+    ``tables`` are int64, uint32, uint16 or uint8 arrays of shape (l, r)
+    with l, r >= 1, ``seps`` ASCII strings, one more than the tables, and
+    ``layout`` ASCII strings, ``cell`` of one character and ``brk`` shorter
+    than ``_ROW_BREAK``.  Every value's sign, magnitude and text width go
+    into flat arrays first; then the values are written ``_BLOCK`` at a time
+    into one byte buffer: their places from a cumulative sum of the widths,
+    then one scatter per decimal place.
     """
     begin, cell, brk, close = layout
     if not tables:
@@ -640,7 +693,7 @@ def _tables_bytes(
 
 
 def _canonical_bytes(hcs_set: HcsSet) -> bytes:
-    """``dumps_document(to_document(hcs_set))`` as ASCII, written from the int64 tables."""
+    """``dumps_document(to_document(hcs_set))`` as ASCII, written from the slot tables."""
     head = _document_head(hcs_set)
     t = head.pop("t")
     # the head's text less its closing brace, then the two keys that sort last
@@ -691,10 +744,15 @@ def _load_canonical(data: bytes) -> HcsSet | None:
     sequences, at = [], 0
     for i, lv in enumerate(config.levels):
         for j in range(lv.u):
-            table = numbers[at:at + length * lv.r].reshape(length, lv.r)
-            sequences.append(HcsSequence(level=i, user=j, frames=table))
-            at += length * lv.r + 2
+            size = length * lv.r
+            sequences.append(
+                HcsSequence(level=i, user=j, frames=numbers[at:at + size].reshape(length, lv.r))
+            )
+            at += size + 2
     hcs_set = HcsSet(config=config, length=length, sequences=tuple(sequences), provenance=provenance)
+    # the set holds its in-range tables in narrow copies, so dropping the
+    # int64 parse frees it before the re-encoding
+    del numbers, sequences
     try:
         same = _canonical_bytes(hcs_set) == data
     except RecursionError:
@@ -736,7 +794,7 @@ def _kept_set(path, data: bytes) -> HcsSet | None:
 
 
 def save_set(hcs_set: HcsSet, path) -> None:
-    """Write ``dumps_document(to_document(hcs_set))`` to path, from the int64 tables."""
+    """Write ``dumps_document(to_document(hcs_set))`` to path, from the slot tables."""
     data = _canonical_bytes(hcs_set)
     write_text(path, data.decode("ascii"))
     if _written is not None:

@@ -322,7 +322,7 @@ _slot_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _slot_table(hcs_set: HcsSet) -> np.ndarray:
     """The set's sequence tables side by side, a column per roster slot, in
-    the narrowest unsigned dtype that holds slot t.
+    the set's slot dtype (core.slot_dtype).
 
     Built once per set object and kept while ``core._tables_frozen`` holds,
     the rule verification._proof keeps a proof by; otherwise built on every
@@ -338,13 +338,9 @@ def _slot_table(hcs_set: HcsSet) -> np.ndarray:
 
 
 def _side_by_side(hcs_set: HcsSet) -> np.ndarray:
-    # init verified that every slot is in 0..t-1, so the narrowing cast is exact
-    table = np.concatenate(
-        [s.frames for s in hcs_set.sequences],
-        axis=1,
-        dtype=np.min_scalar_type(hcs_set.t),
-        casting="unsafe",
-    )
+    # init verified that every slot is in 0..t-1, so HcsSet holds every
+    # table in slot_dtype(t) already
+    table = np.concatenate([s.frames for s in hcs_set.sequences], axis=1)
     table.setflags(write=False)
     return table
 
@@ -385,7 +381,10 @@ def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
     vacant = t << bits
     key_type = np.int32 if 2 * vacant <= np.iinfo(np.int32).max else np.int64
     rows = int(((stop - first) * widths[sequence]).sum())
-    frame, slot, holding = (np.empty(rows, dtype=np.int64) for _ in range(3))
+    # one allocation for the three columns: once freed, glibc's malloc keeps
+    # a block that size in its heap for the next replay, where three apart
+    # were handed back to the system and paged in afresh on every replay
+    frame, slot, holding = np.empty((3, rows), dtype=np.int64)
     collisions: list[tuple[int, int]] = []
     block = frames_per_block(AUDIT_BLOCK_ROWS, load)
     at, last = 0, int(stop.max())

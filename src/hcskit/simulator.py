@@ -123,10 +123,12 @@ def _exposure(scheme: Scheme, interference_slots: Sequence[int], frames: int) ->
     top = int(table.max())
     if top < _MASK_SLOTS:
         # mask[s] is set for an interfered slot s <= top; its last entry, which
-        # no slot sets, is read for every negative table value
+        # no slot sets, is read for every negative value of a signed table
         mask = np.zeros(max(top, 0) + 2, dtype=bool)
         mask[[s for s in interference_slots if s <= top]] = True
-        hit = mask[np.maximum(table, -1)]
+        # take, unlike fancy indexing, reads a narrow unsigned index table at
+        # about the speed of an int64 one
+        hit = mask.take(table if table.dtype.kind == "u" else np.maximum(table, -1))
     else:
         hit = np.isin(table, np.asarray(tuple(interference_slots), dtype=np.int64))
     full, rest = divmod(frames, table.shape[0])

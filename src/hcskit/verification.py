@@ -140,7 +140,8 @@ def _claim_counts(hcs_set: HcsSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             to_claim, to_visit = _block_shifts(widths, b, t)
         # the block's slots, sequence after sequence, each (b, r) row-major:
         # each piece is one contiguous slice, which gathers about 5x faster
-        # than a (frame, run) block built with concatenate(axis=1)
+        # than a (frame, run) block built with concatenate(axis=1); the empty
+        # int64 first piece widens narrow tables, so the cell shifts cannot wrap
         cells = np.concatenate(
             [np.empty(0, np.int64)] + [s.frames[lo : lo + b].ravel() for s in seqs]
         )
@@ -205,7 +206,10 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
         if doubled.size:
             f = int(doubled[0])
             row = np.concatenate([s.frames[f] for s in seqs])
-            value = int(np.argmax(np.bincount(row, minlength=t) > 1))
+            # the frame's k claims, sorted: the first value equal to the one
+            # before it is the lowest doubled slot
+            ordered = np.sort(row)
+            value = int(ordered[1:][np.argmax(ordered[1:] == ordered[:-1])])
             a, b = np.flatnonzero(row == value)[:2]
             zero_correlation = CheckResult(
                 False,
@@ -308,6 +312,7 @@ def _frame_distinctness(seqs, t: int, rows: np.ndarray) -> CheckResult:
                 f"slot {int(frames[bad[0][0], bad[1][0]])}",
             )
         ordered = np.sort(frames, axis=1)
+        # a difference of unsigned slots may wrap, but is 0 only for equal ones
         dup = rows[(np.diff(ordered, axis=1) == 0).any(axis=1)]
         if dup.size:
             f = int(dup[0])

@@ -54,12 +54,16 @@ def subsequences(hcs_set):
 
 
 def remake_set(hcs_set, mutate):
-    """Copy a set with ``mutate(seq_index, frames_array)`` applied to each copy."""
+    """Copy a set with ``mutate(seq_index, frames_array)`` applied to each copy.
+
+    Each copy is int64, so a mutation may plant any int64 value; the copied
+    set then holds the tables left in 0..t-1 in its slot dtype again.
+    """
     from hcskit import HcsSequence, HcsSet
 
     sequences = []
     for index, s in enumerate(hcs_set.sequences):
-        frames = np.array(s.frames)
+        frames = np.array(s.frames, dtype=np.int64)
         mutate(index, frames)
         sequences.append(HcsSequence(level=s.level, user=s.user, frames=frames))
     return HcsSet(

@@ -12,6 +12,7 @@ from hcskit.construction1 import (
     unrank_permutation,
     unrank_permutations,
 )
+from hcskit.core import slot_dtype
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def assert_same_tables(built, expected):
     ]
     assert len(built.sequences) == len(expected)
     for s, frames in zip(built.sequences, expected):
-        assert s.frames.dtype == np.int64
+        assert s.frames.dtype == slot_dtype(built.t)
         assert np.array_equal(s.frames, frames), (s.level, s.user)
 
 
@@ -240,8 +241,9 @@ class TestConstruct:
         for level, pairs in ((0, [(0, 1), (1, 2)]), (1, [(0, 1), (2, 3)])):
             eta = p.eta[level]
             for j0, j1 in pairs:
-                b0 = set24.sequence(level, j0).frames // p.m % eta
-                b1 = set24.sequence(level, j1).frames // p.m % eta
+                # in int64: a difference of narrow unsigned tables would wrap
+                b0 = set24.sequence(level, j0).frames.astype(np.int64) // p.m % eta
+                b1 = set24.sequence(level, j1).frames.astype(np.int64) // p.m % eta
                 assert np.all((b1 - b0) % eta == 1)
 
     def test_verifies_across_seeds(self):

@@ -32,7 +32,7 @@ from hcskit import (
     verify,
 )
 from hcskit.construction2 import cons2_params
-from hcskit.core import _load_canonical, _tables_bytes, check_db
+from hcskit.core import _load_canonical, _tables_bytes, check_db, slot_dtype
 
 from conftest import remake_set, subsequences
 
@@ -337,9 +337,16 @@ class TestSlotTables:
         with pytest.raises(ConfigError, match=f"frames must be an integer array, got dtype {dtype}"):
             HcsSequence(level=0, user=0, frames=frames)
 
-    def test_integer_tables_of_any_width_become_int64(self):
-        seq = HcsSequence(level=0, user=0, frames=np.array([[3, 1]], dtype=np.uint8))
-        assert seq.frames.dtype == np.int64
+    @pytest.mark.parametrize(
+        "given, held",
+        [(np.uint8, np.uint8), (np.uint16, np.uint16), (np.uint32, np.uint32),
+         (np.int64, np.int64), (np.int8, np.int64), (np.int16, np.int64), (np.int32, np.int64),
+         (np.uint64, np.int64)],
+        ids=lambda d: np.dtype(d).name,
+    )
+    def test_integer_tables_keep_a_slot_dtype_or_become_int64(self, given, held):
+        seq = HcsSequence(level=0, user=0, frames=np.array([[3, 1]], dtype=given))
+        assert seq.frames.dtype == held
         assert seq.frames.tolist() == [[3, 1]]
 
     def test_unsigned_values_beyond_int64_refused(self):
@@ -676,8 +683,12 @@ class TestCanonicalSetFiles:
         assert [(s.level, s.user, s.frames.tolist()) for s in loaded.sequences] == [
             (s.level, s.user, s.frames.tolist()) for s in reference.sequences
         ]
-        assert all(s.frames.dtype == np.int64 and not s.frames.flags.writeable
-                   for s in loaded.sequences)
+        t = loaded.t
+        for s, q in zip(loaded.sequences, reference.sequences):
+            # a table with a slot outside 0..t-1 keeps the int64 it was parsed in
+            in_range = 0 <= s.frames.min() and s.frames.max() < t
+            assert s.frames.dtype == q.frames.dtype == (slot_dtype(t) if in_range else np.int64)
+            assert not s.frames.flags.writeable
 
 
 class TestFrameInvariants:
