@@ -33,7 +33,6 @@ import argparse
 import csv
 import datetime
 import functools
-import hashlib
 import io
 import json
 import math
@@ -51,6 +50,7 @@ from .core import (
     SchemaError,
     SystemConfig,
     _keeping_written,
+    _recording_digests,
     _tables_bytes,
     dumps_document,
     load_set,
@@ -152,20 +152,20 @@ def _draw_seed() -> int:
 # manifests
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(args: argparse.Namespace, outputs: list[Path], started: float) -> None:
-    """One manifest next to the first output, digesting the input files and outputs."""
+def _write_manifest(
+    args: argparse.Namespace, outputs: list[Path], started: float, digests: dict
+) -> None:
+    """One manifest next to the first output, with the digests ``digests``
+    recorded of the bytes the stage read from its input files and last wrote
+    to its outputs."""
     params = _echo(args)
     inputs = [Path(params[key]) for key in ("set", "script") if params.get(key)]
     manifest = {
         "subcommand": args.subcommand,
         "parameters": params,
         "seeds": [params[key] for key in ("seed", "assign_seed") if params.get(key) is not None],
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {str(p): _sha256(Path(p)) for p in outputs},
+        "inputs": {str(p): digests["read"][p.resolve()].hex() for p in inputs},
+        "outputs": {str(p): digests["written"][p.resolve()].hex() for p in outputs},
         "tool_version": __version__,
         "duration_s": round(time.monotonic() - started, 6),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -531,13 +531,14 @@ def _run(argv: list[str]) -> int:
     started = time.monotonic()
     failure = None
     try:
-        try:
-            outputs = args.func(args)
-        except _Failure as exc:
-            # a failed verify --out has written its report all the same
-            outputs, failure = exc.outputs, exc
-        if outputs:
-            _write_manifest(args, outputs, started)
+        with _recording_digests() as digests:
+            try:
+                outputs = args.func(args)
+            except _Failure as exc:
+                # a failed verify --out has written its report all the same
+                outputs, failure = exc.outputs, exc
+            if outputs:
+                _write_manifest(args, outputs, started, digests)
     except SchemaError as exc:
         raise _Failure(EXIT_IO, "schema-error", exc) from exc
     except sac._VerificationFailed as exc:

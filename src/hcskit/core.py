@@ -24,6 +24,7 @@ import math
 import numbers
 import os
 import re
+import stat
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain
@@ -566,11 +567,61 @@ def from_document(doc) -> HcsSet:
         raise SchemaError(str(exc)) from exc
 
 
-def write_text(path, text: str) -> None:
-    """Write UTF-8 text to path, creating missing parent directories."""
+# while a CLI stage runs, the sha256 of the bytes each file gave the stage's
+# reads and took from its last write, keyed by resolved path, reads and writes
+# apart; None outside a stage, so library calls hash nothing
+_digests: dict | None = None
+
+
+@contextlib.contextmanager
+def _recording_digests():
+    """A scope, one CLI stage, over which the readers and the writer record
+    file digests; yields {"read": {...}, "written": {...}}.  An enclosing
+    scope's record is set aside until this one ends."""
+    global _digests
+    outer, _digests = _digests, {"read": {}, "written": {}}
+    try:
+        yield _digests
+    finally:
+        _digests = outer
+
+
+def _record_digest(kind: str, path, data) -> bytes | None:
+    """The sha256 of ``data``, the bytes ``path`` gave a read (kind "read")
+    or took from a write ("written"), recorded while a stage runs.  None,
+    and nothing hashed, unless a stage or a pipeline plan scope is open."""
+    if _digests is None and _written is None:
+        return None
+    digest = hashlib.sha256(data).digest()
+    if _digests is not None:
+        _digests[kind][Path(path).resolve()] = digest
+    return digest
+
+
+def _write_bytes(path, data: bytes) -> bytes | None:
+    """Write ``data`` to path, creating missing parent directories; returns
+    ``_record_digest``'s digest of it.
+
+    The file is rewritten in place: opened without truncation, written over,
+    and then, if it is a regular file, cut to the new length, which leaves
+    what a truncating write leaves at a fraction of its cost on filesystems
+    that discard freed blocks.  /dev/stdout and FIFOs are written as they
+    come.  Like a truncating write it is not atomic: a reader during the
+    write, or a crash in it, can see the new bytes over part of the old.
+    """
     path = Path(check_instance(path, (str, os.PathLike), "path"))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
+    return _record_digest("written", path, data)
+
+
+def write_text(path, text: str) -> None:
+    """Write UTF-8 text to path, creating missing parent directories (see
+    ``_write_bytes``)."""
+    _write_bytes(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -682,13 +733,17 @@ def _tables_bytes(
         end = int(last[-1]) + 1
         at, m = last, mag[lo:hi]
         while True:
-            buf[at] = m % 10 + ord("0")
-            m = m // 10
+            # numpy's integer % runs several times slower than // and a multiply
+            q = m // 10
+            buf[at] = m - q * 10 + ord("0")
+            m = q
             more = np.flatnonzero(m)
             if not more.size:
                 break
             at, m = at[more] - 1, m[more]
     buf[end:] = np.frombuffer(tail, np.uint8)
+    # the per-value arrays go before the copy, so they and it never coexist
+    del mag, negative, gap, width, lens
     return buf.tobytes()
 
 
@@ -782,12 +837,12 @@ def _keeping_written():
         _written = None
 
 
-def _kept_set(path, data: bytes) -> HcsSet | None:
-    """The set saved to ``path`` in this scope if ``data`` are the bytes
-    written and ``_tables_frozen`` holds for the set; None otherwise, and
-    outside a scope."""
+def _kept_set(path, digest: bytes | None) -> HcsSet | None:
+    """The set saved to ``path`` in this scope if ``digest``, the sha256 of
+    the bytes read there, is that of the bytes written and ``_tables_frozen``
+    holds for the set; None otherwise, and outside a scope."""
     kept = _written.get(Path(path).resolve()) if _written is not None else None
-    if kept is None or kept[0] != hashlib.sha256(data).digest():
+    if kept is None or kept[0] != digest:
         return None
     hcs_set = kept[1]
     return hcs_set if _tables_frozen(hcs_set) else None
@@ -795,10 +850,9 @@ def _kept_set(path, data: bytes) -> HcsSet | None:
 
 def save_set(hcs_set: HcsSet, path) -> None:
     """Write ``dumps_document(to_document(hcs_set))`` to path, from the slot tables."""
-    data = _canonical_bytes(hcs_set)
-    write_text(path, data.decode("ascii"))
+    digest = _write_bytes(path, _canonical_bytes(hcs_set))
     if _written is not None:
-        _written[Path(path).resolve()] = hashlib.sha256(data).digest(), hcs_set
+        _written[Path(path).resolve()] = digest, hcs_set
 
 
 def _parse_json(path, data: bytes):
@@ -825,7 +879,9 @@ def read_json(path):
     deep to parse.
     """
     check_instance(path, (str, os.PathLike), "path")
-    return _parse_json(path, Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    _record_digest("read", path, data)
+    return _parse_json(path, data)
 
 
 def load_set(path) -> HcsSet:
@@ -837,7 +893,7 @@ def load_set(path) -> HcsSet:
     """
     check_instance(path, (str, os.PathLike), "path")
     data = Path(path).read_bytes()
-    hcs_set = _kept_set(path, data)
+    hcs_set = _kept_set(path, _record_digest("read", path, data))
     if hcs_set is None:
         hcs_set = _load_canonical(data)
     return from_document(_parse_json(path, data)) if hcs_set is None else hcs_set

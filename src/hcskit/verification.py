@@ -103,15 +103,19 @@ def _block_shifts(widths: list[int], b: int, t: int) -> tuple[np.ndarray, np.nda
     Adding the first takes each slot to its frame*t + slot claim cell;
     adding the second then takes it on to its run*t + slot visit cell.
     """
-    frame = [np.empty(0, np.int64)]
-    run = [np.empty(0, np.int64)]
-    first = 0
-    for r in widths:
-        frame.append(np.repeat(np.arange(b, dtype=np.int64), r))
-        run.append(np.tile(np.arange(first, first + r, dtype=np.int64), b))
-        first += r
-    frame, run = np.concatenate(frame), np.concatenate(run)
-    return frame * t, (run - frame) * t
+    r = np.array(widths, dtype=np.int64)
+    # one row per (sequence, frame), sequence after sequence, r slots each
+    row_r = np.repeat(r, b)
+    row_frame = np.tile(np.arange(b, dtype=np.int64), r.size)
+    # the slot at position p of a row that starts at p0 = b * first + frame * r
+    # is in run first + p - p0, so run - frame = p - (p0 - first + frame)
+    first = np.cumsum(r) - r
+    lag = np.repeat((b - 1) * first, b) + row_frame * (row_r + 1)
+    n = b * int(r.sum())
+    return (
+        np.repeat(row_frame * t, row_r),
+        np.arange(0, n * t, t, dtype=np.int64) - np.repeat(lag * t, row_r),
+    )
 
 
 def _claim_counts(hcs_set: HcsSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

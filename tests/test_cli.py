@@ -2,7 +2,9 @@ import csv
 import gc
 import hashlib
 import json
+import shutil
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hcskit.construction2 import multiplicative_order
 
 from conftest import remake_set
 
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 LEVELS24 = "2:3,3:4,6:1"
 LEVELS8 = "1:1,3:1,4:1"
 
@@ -419,6 +422,18 @@ class TestVerify:
         manifest = read_manifest(report)
         assert manifest["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
         assert list(manifest["outputs"]) == [str(report)]
+
+    def test_report_over_its_own_input_records_the_bytes_read(self, tmp_path, capsys):
+        path = self.make_set(tmp_path, capsys)
+        read = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert dispatch(["verify", str(path), "--out", str(path)]) == 0
+        capsys.readouterr()
+        # the report, shorter than the set, is all the file holds
+        assert json.loads(path.read_text())["passed"] is True
+        manifest = read_manifest(path)
+        assert manifest["inputs"] == {str(path): read}
+        assert manifest["outputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+        assert manifest["outputs"][str(path)] != read
 
     def test_warnings_print_as_note_lines(self, tmp_path, capsys):
         path = self.make_set(tmp_path, capsys)
@@ -969,6 +984,43 @@ class TestPipeline:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"stages": [["bound", "--t", "8", "--levels", LEVELS8], []]}))
         assert_schema_error(capsys, ["pipeline", str(plan)])
+
+    def test_demo_manifests_digest_the_files_on_disk(self, tmp_path, monkeypatch, capsys):
+        shutil.copytree(DEMOS, tmp_path / "demos")
+        monkeypatch.chdir(tmp_path)
+        plan = json.loads((DEMOS / "full-run.json").read_text())["stages"]
+        for run in range(2):
+            # the second run rewrites every output in place
+            assert dispatch(["pipeline", "demos/full-run.json"]) == 0
+            capsys.readouterr()
+            for stage in plan:
+                manifest = read_manifest(Path(stage[stage.index("--out") + 1]))
+                assert manifest["subcommand"] == stage[0]
+                files = {**manifest["inputs"], **manifest["outputs"]}
+                assert files, stage
+                for name, digest in files.items():
+                    assert digest == hashlib.sha256(Path(name).read_bytes()).hexdigest(), name
+
+    def test_each_set_file_is_hashed_once_per_write_and_read(self, tmp_path, capsys, monkeypatch):
+        set1 = tmp_path / "set1.json"
+        gen1 = ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "7", "--out", str(set1)]
+        dispatch(gen1)
+        size = set1.stat().st_size
+        hashed = []
+        sha256 = hashlib.sha256
+
+        def counting(data=b""):
+            hashed.append(len(data))
+            return sha256(data)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"stages": [gen1, ["verify", str(set1), "--out", str(tmp_path / "r.json")]]}))
+        assert dispatch(["pipeline", str(plan)]) == 0
+        capsys.readouterr()
+        # gen1's write and verify's read; the manifests and the plan's kept
+        # set reuse those digests
+        assert hashed.count(size) == 2
 
     def test_rerun_byte_identical_outputs(self, tmp_path, capsys):
         digests = []

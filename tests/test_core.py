@@ -1,6 +1,8 @@
 import decimal
 import fractions
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -32,7 +34,8 @@ from hcskit import (
     verify,
 )
 from hcskit.construction2 import cons2_params
-from hcskit.core import _load_canonical, _tables_bytes, check_db, slot_dtype
+from hcskit import core
+from hcskit.core import _load_canonical, _tables_bytes, check_db, slot_dtype, write_text
 
 from conftest import remake_set, subsequences
 
@@ -689,6 +692,42 @@ class TestCanonicalSetFiles:
             in_range = 0 <= s.frames.min() and s.frames.max() < t
             assert s.frames.dtype == q.frames.dtype == (slot_dtype(t) if in_range else np.int64)
             assert not s.frames.flags.writeable
+
+
+class TestWriteText:
+    # "new text é" is 11 bytes of UTF-8
+    @pytest.mark.parametrize("old", [b"a" * 100, b"b" * 5, b"c" * 11], ids=["longer", "shorter", "equal"])
+    def test_a_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old):
+        path = tmp_path / "file.txt"
+        path.write_bytes(old)
+        write_text(path, "new text é")
+        assert path.read_bytes() == "new text é".encode()
+
+    def test_missing_file_and_parents_are_made(self, tmp_path):
+        path = tmp_path / "a" / "b" / "file.txt"
+        write_text(path, "x\n")
+        assert path.read_bytes() == b"x\n"
+        assert path.stat().st_mode & 0o777 == 0o666 & ~_umask()
+
+    def test_a_device_is_written(self):
+        write_text(os.devnull, "x" * 10)
+
+    def test_library_calls_hash_nothing(self, tmp_path, set24, monkeypatch):
+        def refused(*args):
+            raise AssertionError("hashed outside a CLI stage")
+
+        monkeypatch.setattr(hashlib, "sha256", refused)
+        path = tmp_path / "set.json"
+        save_set(set24, path)
+        assert load_set(path).length == set24.length
+        write_text(path, "{}")
+        assert core.read_json(path) == {}
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 class TestFrameInvariants:
