@@ -157,7 +157,10 @@ def _write_manifest(
 ) -> None:
     """One manifest next to the first output, with the digests ``digests``
     recorded of the bytes the stage read from its input files and last wrote
-    to its outputs."""
+    to its outputs.  None when the first output is not a regular file (a
+    device or a FIFO), whose directory is no place for a manifest."""
+    if not outputs[0].is_file():
+        return
     params = _echo(args)
     inputs = [Path(params[key]) for key in ("set", "script") if params.get(key)]
     manifest = {

@@ -25,6 +25,7 @@ from .core import (
     check_int,
     check_items,
     frames_per_block,
+    slot_dtype,
 )
 from .verification import _proof
 
@@ -271,16 +272,19 @@ def _holdings(state: SacState, end: int) -> list[list]:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Audit:
-    """Slot claims of a replay, as three sorted int64 columns.
+    """Slot claims of a replay, as three sorted unsigned columns.
 
     Row i claims slot ``slot[i]`` in frame ``frame[i]`` for holding
     ``holding[i]``, an index into ``holdings``, whose entries are
     (first, stop, user, level, sequence), sorted by user.  Rows are sorted
     by (frame, slot, user), which is (frame, slot, holding) since a user
-    holds one sequence at a time.  Iteration yields (frame, slot, user,
-    level, sequence) tuples of plain ints and strs, made AUDIT_BLOCK_ROWS
-    rows at a time; ``audit[i]`` is row i, and ``audit + rows`` a list of
-    every row followed by ``rows``.
+    holds one sequence at a time.  Each column is in the narrowest of
+    uint8, uint16 and uint32 that holds its largest possible value: the
+    last audited frame, slot t - 1 (core.slot_dtype(t), the side-by-side
+    table's dtype) and the last holding, so a row takes at most 12 bytes.
+    Iteration yields (frame, slot, user, level, sequence) tuples of plain
+    ints and strs, made AUDIT_BLOCK_ROWS rows at a time; ``audit[i]`` is row
+    i, and ``audit + rows`` a list of every row followed by ``rows``.
     """
 
     frame: np.ndarray
@@ -345,6 +349,29 @@ def _side_by_side(hcs_set: HcsSet) -> np.ndarray:
     return table
 
 
+def _columns(rows: int, stop: int, t: int, count: int) -> list[np.ndarray]:
+    """Uninitialized frame, slot and holding columns of ``rows`` rows, for
+    frames below ``stop``, slots below ``t`` and ``count`` holdings.
+
+    Each is in slot_dtype of its bound, the narrowest unsigned dtype that
+    holds the bound less one (frames and holdings stay below
+    MAX_AUDIT_ROWS, so neither is int64), and is a view of one byte block,
+    widest first, so every column starts on a multiple of its own width.  One
+    block, not three: once freed, glibc's malloc keeps a block that size in
+    its heap for the next replay, where three apart were handed back to the
+    system and paged in afresh on every replay.
+    """
+    dtypes = [slot_dtype(bound) for bound in (stop, t, count)]
+    block = np.empty(rows * sum(d.itemsize for d in dtypes), dtype=np.uint8)
+    columns: list = [None] * 3
+    at = 0
+    for i in sorted(range(3), key=lambda i: -dtypes[i].itemsize):
+        size = rows * dtypes[i].itemsize
+        columns[i] = block[at : at + size].view(dtypes[i])
+        at += size
+    return columns
+
+
 def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
     """Audit and collisions of frames [0, end), built block by block.
 
@@ -366,12 +393,12 @@ def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
     frame size or the number of holdings.
     """
     holdings = tuple(map(tuple, _holdings(state, end)))
+    t = state.hcs_set.t
     if not holdings:
-        empty = np.zeros(0, dtype=np.int64)
-        return Audit(empty, empty, empty, holdings), []
+        return Audit(*_columns(0, 0, t, 0), holdings), []
     first, stop, sequence = (np.array([h[i] for h in holdings]) for i in (0, 1, 4))
     seqs = state.hcs_set.sequences
-    t, load = state.hcs_set.t, state.hcs_set.config.load
+    load = state.hcs_set.config.load
     table = _slot_table(state.hcs_set).ravel()
     widths = np.array([s.slots_per_frame for s in seqs])
     seq_of_column = np.repeat(np.arange(len(seqs)), widths)
@@ -381,13 +408,11 @@ def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
     vacant = t << bits
     key_type = np.int32 if 2 * vacant <= np.iinfo(np.int32).max else np.int64
     rows = int(((stop - first) * widths[sequence]).sum())
-    # one allocation for the three columns: once freed, glibc's malloc keeps
-    # a block that size in its heap for the next replay, where three apart
-    # were handed back to the system and paged in afresh on every replay
-    frame, slot, holding = np.empty((3, rows), dtype=np.int64)
+    last = int(stop.max())
+    frame, slot, holding = _columns(rows, last, t, len(holdings))
     collisions: list[tuple[int, int]] = []
     block = frames_per_block(AUDIT_BLOCK_ROWS, load)
-    at, last = 0, int(stop.max())
+    at = 0
     for lo in range(int(first.min()), last, block):
         hi = min(lo + block, last)
         live = np.flatnonzero((first < hi) & (stop > lo))
@@ -427,9 +452,8 @@ def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
         out = slice(at, at + count)
         at += count
         frame[out] = np.repeat(frames.ravel(), claims)
-        holding[out] = key
-        np.right_shift(holding[out], bits, out=slot[out])
-        holding[out] &= (1 << bits) - 1
+        np.right_shift(key, bits, out=slot[out], casting="unsafe")
+        np.bitwise_and(key, (1 << bits) - 1, out=holding[out], casting="unsafe")
     return Audit(frame, slot, holding, holdings), collisions
 
 

@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import json
+import os
 import shutil
 import weakref
 from pathlib import Path
@@ -309,6 +310,15 @@ class TestBoundAndEnumerate:
         assert dispatch(["bound", "--t", "8", "--levels", "4:3", "--out", str(out)]) == 0
         capsys.readouterr()
         assert json.loads(out.read_text())["slack"] == -4
+
+    def test_device_output_gets_no_manifest(self, tmp_path, capsys):
+        # the manifest of --out /dev/null would be /dev/null.manifest.json;
+        # through a link the name it would take is inside tmp_path
+        out = tmp_path / "null"
+        out.symlink_to(os.devnull)
+        assert dispatch(["bound", "--t", "8", "--levels", "1:1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert [p.name for p in tmp_path.iterdir()] == ["null"]
 
     def test_out_path_that_is_a_directory_exits_5(self, tmp_path, capsys):
         code = dispatch(["bound", "--t", "8", "--levels", LEVELS8, "--out", str(tmp_path)])

@@ -405,6 +405,7 @@ class TestRunScript:
         script = [{"frame": 2**31, "action": "join", "user": "A", "level": 0}]
         state, audit, collisions = sac.run_script(empty, script)
         assert list(audit) == [] and collisions == []
+        assert column_dtypes(audit) == [np.uint8] * 3
         assert [e.kind for e in state.events] == ["join-request", "queued"]
 
     def test_audit_bound_is_frames_times_load(self, set24, monkeypatch):
@@ -478,7 +479,8 @@ class TestRunScript:
         _, audit, collisions = sac.run_script(set24, script, alignment="per-user")
         rows = list(audit)
         assert collisions and len(audit) == len(rows)
-        assert [c.dtype for c in (audit.frame, audit.slot, audit.holding)] == [np.int64] * 3
+        # frames up to 199, slots up to 23 and 72 holdings: a byte each
+        assert column_dtypes(audit) == [np.uint8] * 3
         users = [audit.holdings[h][2] for h in audit.holding.tolist()]
         assert list(zip(audit.frame.tolist(), audit.slot.tolist(), users)) == [
             row[:3] for row in rows
@@ -573,16 +575,16 @@ class TestAuditGrid:
             _, audit, collisions = sac.run_script(
                 hcs_set, script, alignment=alignment, sync_delay=sync_delay
             )
-        assert [c.dtype for c in (audit.frame, audit.slot, audit.holding)] == [np.int64] * 3
-        assert (list(audit), collisions) == reference_audit(
-            hcs_set, script, alignment, sync_delay
-        )
+        want = reference_audit(hcs_set, script, alignment, sync_delay)
+        assert (list(audit), collisions) == want
+        assert column_dtypes(audit) == expected_dtypes(hcs_set, want[0], len(audit.holdings))
 
-    @pytest.mark.parametrize("t", [255, 256])
+    @pytest.mark.parametrize("t, dtype", [(256, np.uint8), (257, np.uint16)])
     @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
-    def test_slot_table_width_edges(self, t, alignment):
-        # the side-by-side table is uint8 up to t = 255 and uint16 from 256;
-        # a saturated roster claims slot t - 1, the last below the empty mark t
+    def test_slot_table_width_edges(self, t, dtype, alignment):
+        # the side-by-side table and the slot column are uint8 up to t = 256
+        # (slot 255) and uint16 from 257; a saturated roster claims slot
+        # t - 1, the last below the empty mark t
         hcs_set = construct2(SystemConfig(t=t, levels=((1, t - 250), (50, 5))), n=1)
         script = [
             {"frame": 0, "action": "join", "user": f"u{i}", "level": s.level}
@@ -596,6 +598,7 @@ class TestAuditGrid:
         _, audit, collisions = sac.run_script(hcs_set, script, alignment=alignment)
         assert (list(audit), collisions) == reference_audit(hcs_set, script, alignment)
         assert audit.slot.max() == t - 1
+        assert sac._slot_table(hcs_set).dtype == dtype and audit.slot.dtype == dtype
         # a per-user holder who joins late is off the others' positions
         assert bool(collisions) == (alignment == "per-user")
 
@@ -631,7 +634,7 @@ class TestAuditGrid:
         finally:
             tracemalloc.stop()
         assert len(audit) == 40000
-        assert peak - 3 * audit.frame.nbytes < 256 * sac.AUDIT_BLOCK_ROWS
+        assert peak - column_bytes(audit) < 256 * sac.AUDIT_BLOCK_ROWS
 
     @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
     def test_per_frame_churn(self, set24, alignment):
@@ -667,6 +670,27 @@ class TestAuditGrid:
         assert (list(audit), collisions) == reference_audit(set24, script, alignment)
         holders = {row[0]: row[2] for row in audit}
         assert holders == {0: "a", 1: "a", 2: "a", 3: "a", 4: "b", 5: "b", 6: "c", 7: "c", 8: "c"}
+
+
+def narrowest(value: int) -> np.dtype:
+    """The narrowest of uint8, uint16 and uint32 that holds ``value``."""
+    return next(np.dtype(d) for d in (np.uint8, np.uint16, np.uint32) if value <= np.iinfo(d).max)
+
+
+def column_dtypes(audit) -> list:
+    return [c.dtype for c in (audit.frame, audit.slot, audit.holding)]
+
+
+def column_bytes(audit) -> int:
+    return sum(c.nbytes for c in (audit.frame, audit.slot, audit.holding))
+
+
+def expected_dtypes(hcs_set, rows, holdings: int) -> list:
+    """The audit's column rule: the narrowest unsigned dtypes that hold the
+    last audited frame (of the reference ``rows``), slot t - 1 and the last
+    of ``holdings`` holdings."""
+    last = rows[-1][0] if rows else 0
+    return [narrowest(last), narrowest(hcs_set.t - 1), narrowest(holdings - 1)]
 
 
 def fits_int32(hcs_set, audit) -> bool:
@@ -730,8 +754,9 @@ class TestKeyWidth:
         script = late_joiner_script(hcs_set, frames=40)
         _, audit, collisions = sac.run_script(hcs_set, script, alignment=alignment)
         assert fits_int32(hcs_set, audit)
-        assert [c.dtype for c in (audit.frame, audit.slot, audit.holding)] == [np.int64] * 3
-        assert (list(audit), collisions) == reference_audit(hcs_set, script, alignment)
+        want = reference_audit(hcs_set, script, alignment)
+        assert (list(audit), collisions) == want
+        assert column_dtypes(audit) == expected_dtypes(hcs_set, want[0], len(audit.holdings))
         assert bool(collisions) == (alignment == "per-user")
 
     @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
@@ -756,6 +781,59 @@ class TestKeyWidth:
         assert (list(audit), collisions) == reference_audit(wide_set, script, alignment)
         assert audit.slot.min() >= wide_set.t - 10
         assert bool(collisions) == (alignment == "per-user")
+
+
+class TestColumnWidth:
+    @pytest.mark.parametrize(
+        "last, dtype",
+        [(255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)],
+    )
+    @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
+    def test_frame_width_edges(self, set24, last, dtype, alignment):
+        # the frame column holds the last audited frame, not the script's end
+        script = [
+            {"frame": last - 20, "action": "join", "user": "a", "level": 0},
+            {"frame": last - 5, "action": "join", "user": "b", "level": 2},
+            {"frame": last + 1, "action": "leave", "user": "a"},
+            {"frame": last + 1, "action": "leave", "user": "b"},
+        ]
+        _, audit, collisions = sac.run_script(set24, script, alignment=alignment)
+        assert (list(audit), collisions) == reference_audit(set24, script, alignment)
+        assert audit.frame[-1] == last
+        assert column_dtypes(audit) == [np.dtype(dtype), np.uint8, np.uint8]
+
+    @pytest.mark.parametrize("holdings, dtype", [(256, np.uint8), (257, np.uint16)])
+    @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
+    def test_holding_width_edges(self, set24, holdings, dtype, alignment):
+        # b holds one sequence throughout; a leaves and joins again every frame,
+        # a new holding each time
+        script = [{"frame": 0, "action": "join", "user": "b", "level": 1}]
+        for frame in range(holdings - 1):
+            if frame:
+                script.append({"frame": frame, "action": "leave", "user": "a"})
+            script.append({"frame": frame, "action": "join", "user": "a", "level": 0})
+        _, audit, collisions = sac.run_script(set24, script, alignment=alignment)
+        assert (list(audit), collisions) == reference_audit(set24, script, alignment)
+        assert len(audit.holdings) == holdings and audit.holding.max() == holdings - 1
+        assert column_dtypes(audit) == [np.uint8, np.uint8, np.dtype(dtype)]
+
+    def test_replay_memory_is_its_columns_and_a_block(self, set24):
+        # 2**16 saturated frames, 1,572,864 rows: beyond its 4-byte rows
+        # (uint16 frame, uint8 slot and holding) the audit needs only its
+        # block scratch, whatever the number of rows
+        state = sac.init(set24)
+        for i, s in enumerate(set24.sequences):
+            state.request_access(f"u{i}", s.level, 0)
+        tracemalloc.start()
+        try:
+            audit, collisions = sac._audit(state, 1 << 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert collisions == [] and len(audit) == set24.config.load << 16 >= 1 << 20
+        assert column_bytes(audit) == 4 * len(audit)
+        # about 32 bytes a block row
+        assert peak - column_bytes(audit) < 64 * sac.AUDIT_BLOCK_ROWS
 
 
 @pytest.fixture
