@@ -248,7 +248,6 @@ def construct1(config: SystemConfig, drivers: DriverSequences | None = None) -> 
         index *= m
         # every slot is below t, so the sum fits the narrow dtype
         np.add(frames, index, out=frames, casting="unsafe")
-        frames.setflags(write=False)
         for j in users.tolist():
             sequences.append(HcsSequence(level=i, user=j, frames=frames[j]))
 

@@ -217,7 +217,6 @@ def construct2(
             rows = np.arange(first_row, first_row + lv.r) + np.arange(t)[:, None]
             table = _table(rows, a1, mult, t)
             frames = table if key is None else table.take(key, axis=0)
-            frames.setflags(write=False)
             sequences.append(HcsSequence(level=i, user=j, frames=frames.reshape(length, lv.r)))
 
     mode = "true-order" if d is None else "compat"

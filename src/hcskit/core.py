@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -223,35 +224,35 @@ def level_offsets(config: SystemConfig) -> tuple[int, ...]:
     return tuple(accumulate((lv.r * lv.u for lv in config.levels[:-1]), initial=0))
 
 
-def _frozen(arr: np.ndarray) -> bool:
-    """Whether ``arr`` and every array it views are read-only, down to the
-    one that owns the memory, so no writable array shares its values."""
-    while arr.base is not None:
-        if arr.flags.writeable or not isinstance(arr.base, np.ndarray):
-            return False
-        arr = arr.base
-    return not arr.flags.writeable
+def _immutable(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``arr`` in ``dtype`` as a C-contiguous view of a ``bytes`` object,
+    which numpy never lets become writable, nor any view of it: ``arr``
+    itself if it is one already, a copy otherwise."""
+    root = arr
+    while isinstance(root, np.ndarray):
+        root = root.base
+    if type(root) is bytes and arr.dtype == dtype and arr.flags.c_contiguous:
+        return arr
+    return np.frombuffer(arr.astype(dtype, copy=False).tobytes(), dtype).reshape(arr.shape)
 
 
-def _tables_frozen(hcs_set: HcsSet) -> bool:
-    """Whether every sequence table of ``hcs_set`` is read-only down its
-    ``.base`` chain: the rule by which anything read off a set's tables (a
-    proof, a set a pipeline saved, the audit's slot table) is kept for the
-    set object.  A table made writable, written and made read-only again
-    between two checks is not detected."""
-    return all(_frozen(s.frames) for s in hcs_set.sequences)
+def _narrows(frames: np.ndarray, dtype: np.dtype, t: int) -> bool:
+    """Whether a set of frame size ``t`` holds the non-empty table ``frames``
+    in a copy in ``dtype``, slot_dtype(t): its slots all lie in 0..t-1, and
+    it is in another dtype."""
+    return frames.dtype != dtype and frames.min() >= 0 and frames.max() < t
 
 
 @dataclass(frozen=True, eq=False)
 class HcsSequence:
     """One user's slot schedule: an (l, r) integer array, row per frame.
 
-    The sequence owns a read-only table of dtype uint8, uint16, uint32 or
-    int64: a C-contiguous array of one of those dtypes is kept as given only
-    if it and every array it views are read-only, and otherwise copied in
-    its own dtype; an array of any other integer dtype is copied to int64.
-    The caller's array and its flags are left as they were.  A set holds its
-    in-range tables in ``slot_dtype(t)`` (see HcsSet).
+    The table is of dtype uint8, uint16, uint32 or int64, a C-contiguous
+    view of a ``bytes`` object, so it can never be written: such a view is
+    kept as given, any other array copied once, in its own dtype if it is
+    one of those four and to int64 otherwise.  The caller's array is left
+    as it was.  A set holds its in-range tables in ``slot_dtype(t)`` (see
+    HcsSet).
     """
 
     level: int
@@ -269,10 +270,11 @@ class HcsSequence:
         if arr.ndim != 2:
             raise ConfigError(f"frames must be a 2-D array, got shape {arr.shape}")
         dtype = arr.dtype if arr.dtype in _SLOT_DTYPES else np.dtype(np.int64)
-        if not (arr.dtype == dtype and arr.flags.c_contiguous and _frozen(arr)):
-            arr = np.array(arr, dtype=dtype, order="C")
-            arr.setflags(write=False)
-        object.__setattr__(self, "frames", arr)
+        object.__setattr__(self, "frames", _immutable(arr, dtype))
+
+    def __reduce__(self):
+        # pickle and copy give back a writable array, which the class copies
+        return HcsSequence, (self.level, self.user, self.frames)
 
     @property
     def length(self) -> int:
@@ -294,27 +296,33 @@ class HcsSet:
     ``provenance`` records which construction produced the set and with what
     parameters; the verification module uses it to pick the right occupancy
     expectation, so the params of a c2 set must hold its d and n as
-    non-negative ints.  Sequences are kept sorted by (level, user) so positional
-    sequence ids are stable across save/load.
+    non-negative ints.  It is given as a dict or a mappingproxy and held as
+    a read-only copy, a mappingproxy at the top level and at ``params``.
+    Sequences are kept sorted by (level, user) so positional sequence ids
+    are stable across save/load.
 
     Each table whose slots all lie in 0..t-1 is held in ``slot_dtype(t)``: a
     sequence whose table came in another dtype is replaced by one over a
-    copy in that dtype, all such copies sharing one read-only buffer.  A
+    copy in that dtype, all such copies sharing one ``bytes`` buffer.  A
     table with a slot outside that range keeps its dtype, so verify can name
-    the value.
+    the value.  A set thus cannot change, and what is read off it (a proof,
+    the audit's slot table) is kept for the set object.
     """
 
     config: SystemConfig
     length: int
     sequences: tuple[HcsSequence, ...]
-    provenance: dict
+    provenance: Mapping
 
     def __post_init__(self) -> None:
         check_instance(self.config, SystemConfig, "set config")
         check_int(self.length, "sequence length", positive=True)
-        check_instance(self.provenance, dict, "provenance")
-        params = check_instance(self.provenance.get("params", {}), dict, "provenance params")
-        if self.provenance.get("kind") == "c2":
+        provenance = dict(check_instance(_plain(self.provenance), dict, "provenance"))
+        params = dict(check_instance(_plain(provenance.get("params", {})), dict, "provenance params"))
+        if "params" in provenance:
+            provenance["params"] = MappingProxyType(params)
+        object.__setattr__(self, "provenance", MappingProxyType(provenance))
+        if provenance.get("kind") == "c2":
             # verify reads each run's slot visits d**n off these two
             for key in ("d", "n"):
                 check_int(params.get(key), f"c2 provenance param {key}")
@@ -349,6 +357,11 @@ class HcsSet:
     def t(self) -> int:
         return self.config.t
 
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled, so the provenance goes as dicts
+        provenance = {key: _plain(value) for key, value in self.provenance.items()}
+        return HcsSet, (self.config, self.length, self.sequences, provenance)
+
     def sequence(self, level: int, user: int) -> HcsSequence:
         for s in self.sequences:
             if s.level == level and s.user == user:
@@ -356,22 +369,31 @@ class HcsSet:
         raise KeyError(f"no sequence for level {level}, user {user}")
 
 
+def _plain(value):
+    """A mappingproxy's mapping as a new dict; any other value as it is."""
+    return dict(value) if isinstance(value, MappingProxyType) else value
+
+
+def _narrowed(table: np.ndarray, dtype: np.dtype, t: int) -> np.ndarray:
+    """A loader's int64 table in ``dtype``, slot_dtype(t), if its slots all
+    lie in 0..t-1, as it is otherwise: narrowed one table at a time, so
+    HcsSequence copies it once and the peak grows by one table at most."""
+    return table.astype(dtype) if _narrows(table, dtype, t) else table
+
+
 def _in_slot_dtype(seqs: tuple[HcsSequence, ...], t: int) -> tuple[HcsSequence, ...]:
     """``seqs`` with every table of in-range slots in ``slot_dtype(t)``; the
-    tables that change are copied once, into one read-only buffer."""
+    tables that change are copied once, into one ``bytes`` buffer."""
     dtype = slot_dtype(t)
     # a set's tables are never empty: its length and every r are at least 1
-    moved = [
-        i for i, s in enumerate(seqs)
-        if s.frames.dtype != dtype and s.frames.min() >= 0 and s.frames.max() < t
-    ]
+    moved = [i for i, s in enumerate(seqs) if _narrows(s.frames, dtype, t)]
     if not moved:
         return seqs
     # every moved slot lies in 0..t-1, so the cast is exact
-    buf = np.concatenate(
-        [seqs[i].frames.ravel() for i in moved], dtype=dtype, casting="unsafe"
+    buf = _immutable(
+        np.concatenate([seqs[i].frames.ravel() for i in moved], dtype=dtype, casting="unsafe"),
+        dtype,
     )
-    buf.setflags(write=False)
     seqs = list(seqs)
     at = 0
     for i in moved:
@@ -532,6 +554,7 @@ def from_document(doc) -> HcsSet:
             f"sequences: expected {config.num_users} entries (one per user), got {len(raw_seqs)}"
         )
     sequences = []
+    dtype = slot_dtype(config.t)
     for si, entry in enumerate(raw_seqs):
         where = f"sequences[{si}]"
         if not isinstance(entry, dict):
@@ -551,11 +574,12 @@ def from_document(doc) -> HcsSet:
         r = config.levels[level].r
         flat = _flat_slots(frames, r, where)
         try:
-            table = np.array(flat, dtype=np.int64)
+            table = np.array(flat, dtype=np.int64).reshape(length, r)
         except OverflowError:
             raise SchemaError(f"{where}.frames: slots must fit in int64") from None
-        table.setflags(write=False)
-        sequences.append(HcsSequence(level=level, user=user, frames=table.reshape(length, r)))
+        sequences.append(
+            HcsSequence(level=level, user=user, frames=_narrowed(table, dtype, config.t))
+        )
     try:
         return HcsSet(
             config=config,
@@ -795,19 +819,17 @@ def _load_canonical(data: bytes) -> HcsSet | None:
         return None
     if numbers.size != count:
         return None
-    numbers.setflags(write=False)
-    sequences, at = [], 0
+    sequences, at, dtype = [], 0, slot_dtype(config.t)
     for i, lv in enumerate(config.levels):
         for j in range(lv.u):
             size = length * lv.r
-            sequences.append(
-                HcsSequence(level=i, user=j, frames=numbers[at:at + size].reshape(length, lv.r))
-            )
+            table = numbers[at:at + size].reshape(length, lv.r)
+            sequences.append(HcsSequence(level=i, user=j, frames=_narrowed(table, dtype, config.t)))
             at += size + 2
     hcs_set = HcsSet(config=config, length=length, sequences=tuple(sequences), provenance=provenance)
-    # the set holds its in-range tables in narrow copies, so dropping the
-    # int64 parse frees it before the re-encoding
-    del numbers, sequences
+    # the set holds copies of its tables, so dropping the int64 parse and
+    # the last view of it frees it before the re-encoding
+    numbers = sequences = table = None
     try:
         same = _canonical_bytes(hcs_set) == data
     except RecursionError:
@@ -839,13 +861,10 @@ def _keeping_written():
 
 def _kept_set(path, digest: bytes | None) -> HcsSet | None:
     """The set saved to ``path`` in this scope if ``digest``, the sha256 of
-    the bytes read there, is that of the bytes written and ``_tables_frozen``
-    holds for the set; None otherwise, and outside a scope."""
+    the bytes read there, is that of the bytes written; None otherwise, and
+    outside a scope."""
     kept = _written.get(Path(path).resolve()) if _written is not None else None
-    if kept is None or kept[0] != digest:
-        return None
-    hcs_set = kept[1]
-    return hcs_set if _tables_frozen(hcs_set) else None
+    return kept[1] if kept is not None and kept[0] == digest else None
 
 
 def save_set(hcs_set: HcsSet, path) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import core
 from .bound import BoundReport, check_bound
-from .core import HcsSet, _tables_frozen, check_instance, frames_per_block
+from .core import HcsSet, check_instance, frames_per_block
 
 # claim-grid cells verify counts in one block of frames
 CLAIM_BLOCK_CELLS = 1 << 16
@@ -267,38 +267,19 @@ def verify(hcs_set: HcsSet) -> VerificationReport:
     )
 
 
-# each proved set's (provenance key, report); weak keys, so it keeps no set
-# alive, and a report holds no table
+# each proved set's report; weak keys, so it keeps no set alive, and a
+# report holds no table
 _proofs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _provenance_key(hcs_set: HcsSet) -> tuple:
-    """The provenance fields verify reads, with their types: the kind, and
-    for a c2 set d and n."""
-    kind = hcs_set.provenance.get("kind")
-    fields = (kind,)
-    if kind == "c2":
-        params = hcs_set.provenance["params"]
-        fields += (params["d"], params["n"])
-    return tuple((type(v), v) for v in fields)
-
-
 def _proof(hcs_set: HcsSet) -> VerificationReport:
-    """verify's report of ``hcs_set``, proved once per set object.
-
-    The report is reused while ``core._tables_frozen`` holds for the set and
-    the provenance fields verify reads are unchanged; otherwise the set is
-    proved again, and the new report is kept only if the tables are frozen.
-    """
-    check_instance(hcs_set, HcsSet, "set")
-    key = _provenance_key(hcs_set)
-    if not _tables_frozen(hcs_set):
-        _proofs.pop(hcs_set, None)
-        return verify(hcs_set)
-    kept = _proofs.get(hcs_set)
-    if kept is None or kept[0] != key:
-        kept = _proofs[hcs_set] = key, verify(hcs_set)
-    return kept[1]
+    """verify's report of ``hcs_set``, proved once per set object and kept
+    for as long as the set lives: a set's tables and provenance cannot
+    change (see HcsSet)."""
+    report = _proofs.get(check_instance(hcs_set, HcsSet, "set"))
+    if report is None:
+        report = _proofs[hcs_set] = verify(hcs_set)
+    return report
 
 
 def _frame_distinctness(seqs, t: int, rows: np.ndarray) -> CheckResult:

@@ -53,6 +53,15 @@ def subsequences(hcs_set):
             yield s.level, s.user, theta, s.frames[:, theta]
 
 
+def views(frames):
+    """A table and every array it is a view of, down to the one over the
+    buffer that holds its memory."""
+    arrays = [frames]
+    while isinstance(arrays[-1].base, np.ndarray):
+        arrays.append(arrays[-1].base)
+    return arrays
+
+
 def remake_set(hcs_set, mutate):
     """Copy a set with ``mutate(seq_index, frames_array)`` applied to each copy.
 

@@ -15,7 +15,7 @@ from hcskit import cli, construction2, core, verification
 from hcskit.cli import MAX_SNR_POINTS, _csv_text, _parse_snr, dispatch
 from hcskit.construction2 import multiplicative_order
 
-from conftest import remake_set
+from conftest import remake_set, views
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 LEVELS24 = "2:3,3:4,6:1"
@@ -1130,12 +1130,6 @@ def _set_parts(hcs_set):
     ])
 
 
-def _owner(frames):
-    while frames.base is not None:
-        frames = frames.base
-    return frames
-
-
 class TestPipelineKeepsWrittenSets:
     """Within a plan, load_set gives back the set save_set wrote while the
     file still holds its bytes; the outputs stay those of separate runs."""
@@ -1237,16 +1231,19 @@ class TestPipelineKeepsWrittenSets:
         if edit == "indent":
             assert inside == _set_parts(set24)
 
-    def test_tables_made_writable_are_parsed(self, tmp_path, set128):
+    def test_kept_set_refuses_to_be_made_writable(self, tmp_path, set128):
         path = tmp_path / "set.json"
         hcs_set = remake_set(set128, lambda i, frames: None)
         with core._keeping_written():
             core.save_set(hcs_set, path)
             assert core.load_set(path) is hcs_set
-            _owner(hcs_set.sequences[-1].frames).setflags(write=True)
-            loaded = core.load_set(path)
-        assert loaded is not hcs_set
-        assert _set_parts(loaded) == _set_parts(core.load_set(path))
+            # the kept set's tables cannot be written, so it stays the set
+            # the file holds
+            for frames in views(hcs_set.sequences[-1].frames):
+                with pytest.raises(ValueError):
+                    frames.setflags(write=True)
+            assert core.load_set(path) is hcs_set
+        assert _set_parts(hcs_set) == _set_parts(core.load_set(path))
 
     def test_outside_a_plan_nothing_is_kept(self, tmp_path, set24):
         path = tmp_path / "set.json"

@@ -1,8 +1,10 @@
+import copy
 import decimal
 import fractions
 import hashlib
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from hcskit.construction2 import cons2_params
 from hcskit import core
 from hcskit.core import _load_canonical, _tables_bytes, check_db, slot_dtype, write_text
 
-from conftest import remake_set, subsequences
+from conftest import remake_set, subsequences, views
 
 
 def brute_hamming(x, y, tau):
@@ -376,11 +378,31 @@ class TestSlotTables:
         w[1, 0] = 99
         assert seq.frames[0].tolist() == [2, 3]
 
-    def test_read_only_table_is_kept(self):
+    def test_only_a_bytes_backed_table_is_kept(self):
+        frames = np.frombuffer(bytes(range(6)), np.uint8).reshape(3, 2)
+        assert HcsSequence(level=0, user=0, frames=frames).frames is frames
+        # a read-only array that owns its memory can be made writable again,
+        # so it is copied, and the copy cannot be
         base = np.arange(6, dtype=np.int64)
         base.setflags(write=False)
-        frames = base.reshape(3, 2)
-        assert HcsSequence(level=0, user=0, frames=frames).frames is frames
+        held = HcsSequence(level=0, user=0, frames=base.reshape(3, 2)).frames
+        assert type(views(held)[-1].base) is bytes and held.tolist() == [[0, 1], [2, 3], [4, 5]]
+        for table in views(held):
+            with pytest.raises(ValueError):
+                table.setflags(write=True)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64],
+                             ids=lambda d: np.dtype(d).name)
+    def test_numpy_refuses_to_make_a_view_of_bytes_writable(self, dtype):
+        # the premise a set's immutability rests on: if numpy ever lets such
+        # a view be made writable, this fails
+        flat = np.frombuffer(bytes(range(48)), dtype)
+        for view in (flat.reshape(2, -1), flat[1:-1], flat.reshape(2, -1)[1:, 1:]):
+            arrays = views(view)
+            assert type(arrays[-1].base) is bytes
+            for table in arrays:
+                with pytest.raises(ValueError):
+                    table.setflags(write=True)
 
     @pytest.mark.parametrize("route", ["construct1", "construct2", "load_set", "from_document"])
     def test_built_and_loaded_tables_are_not_copied(self, request, tmp_path, route):
@@ -393,6 +415,77 @@ class TestSlotTables:
         elif route == "from_document":
             built = from_document(to_document(built))
         assert all(s.frames.base is not None for s in built.sequences)
+
+
+def _by_route(built, route, tmp_path):
+    """``built`` as the route gives it back: a file, a document, a hand-built
+    set, a copy or a pickle."""
+    path = tmp_path / "set.json"
+    if route == "canonical":
+        save_set(built, path)
+        return load_set(path)
+    if route == "indented":
+        path.write_text(json.dumps(to_document(built), indent=1))
+        return load_set(path)
+    if route == "from_document":
+        return from_document(to_document(built))
+    if route in ("int64", "out-of-range"):
+        # int64 copies of the tables; out of range, the second one's slots move past t - 1
+        shift = built.t if route == "out-of-range" else 0
+        sequences = tuple(
+            HcsSequence(level=s.level, user=s.user, frames=s.frames.astype(np.int64) + shift * (i == 1))
+            for i, s in enumerate(built.sequences)
+        )
+        return HcsSet(config=built.config, length=built.length, sequences=sequences,
+                      provenance=dict(built.provenance))
+    if route == "remake_set":
+        return remake_set(built, lambda index, frames: None)
+    if route == "pickle":
+        return pickle.loads(pickle.dumps(built))
+    return {"built": lambda s: s, "deepcopy": copy.deepcopy, "copy": copy.copy}[route](built)
+
+
+ROUTES = ["built", "canonical", "indented", "from_document", "int64", "out-of-range",
+          "remake_set", "pickle", "deepcopy", "copy"]
+
+
+class TestSetsCannotChange:
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("source", ["set24", "set128"], ids=["c1", "c2"])
+    def test_every_route_gives_a_set_that_cannot_change(self, request, tmp_path, source, route):
+        built = request.getfixturevalue(source)
+        got = _by_route(built, route, tmp_path)
+        for s in got.sequences:
+            for table in views(s.frames):
+                with pytest.raises(ValueError):
+                    table.setflags(write=True)
+        with pytest.raises(TypeError):
+            got.provenance["kind"] = "mystery"
+        with pytest.raises(TypeError):
+            got.provenance["params"]["d"] = 2
+        if route == "out-of-range":
+            # a table with a slot outside 0..t-1 keeps its dtype, so verify names the slot
+            assert [s.frames.dtype == np.int64 for s in got.sequences] == [
+                i == 1 for i in range(len(got.sequences))
+            ]
+            assert "holds out-of-range slot" in verify(got).frame_distinctness.detail
+        else:
+            assert {s.frames.dtype for s in got.sequences} == {slot_dtype(built.t)}
+            assert to_document(got) == to_document(built)
+
+    def test_provenance_is_a_copy(self, set128):
+        params = dict(set128.provenance["params"])
+        provenance = {"kind": "c2", "params": params}
+        built = HcsSet(config=set128.config, length=set128.length,
+                       sequences=set128.sequences, provenance=provenance)
+        provenance["kind"] = "c1"
+        params["d"] = 2
+        assert built.provenance == set128.provenance
+        # a mappingproxy is taken as well, and copied too
+        again = HcsSet(config=set128.config, length=set128.length,
+                       sequences=set128.sequences, provenance=built.provenance)
+        assert again.provenance == built.provenance
+        assert again.provenance is not built.provenance
 
 
 class TestFlatten:

@@ -19,7 +19,7 @@ from hcskit import (
     verification,
 )
 
-from conftest import random_script, reference_audit, remake_set, shadow_events
+from conftest import random_script, reference_audit, remake_set, shadow_events, views
 
 
 class TestInit:
@@ -91,30 +91,33 @@ class TestProofReuse:
                 sac.run_script(bad, ONE_JOIN)
         assert len(proofs) == 1
 
-    def test_owner_made_writable_voids_the_proof(self, cfg24, proofs):
+    def test_owner_refuses_to_be_made_writable(self, cfg24, proofs):
         s = construct1(cfg24)
         sac.init(s)
-        # make sequence 0's owner writable again and plant sequence 1's first slot
-        frames = s.sequences[0].frames
-        frames.base.setflags(write=True)
-        frames.setflags(write=True)
-        frames[0, 0] = s.sequences[1].frames[0, 0]
+        # neither sequence 0's table nor the array over its buffer can be
+        # made writable, so no slot can be planted after the proof
+        for frames in views(s.sequences[0].frames):
+            with pytest.raises(ValueError):
+                frames.setflags(write=True)
         for _ in range(2):
-            with pytest.raises(ConfigError, match="failed verification"):
-                sac.init(s)
-        # a table that is writable is proved on every call, and its proof not kept
-        assert len(proofs) == 3
+            sac.init(s)
+        assert len(proofs) == 1
 
-    def test_c2_provenance_edit_is_proved_again(self, cfg8, proofs):
+    def test_c2_provenance_refuses_an_edit(self, cfg8, proofs):
         s = construct2(cfg8, n=2, g=3, d=4)
         sac.init(s)
-        s.provenance["params"]["d"] = 2
+        with pytest.raises(TypeError):
+            s.provenance["params"]["d"] = 2
+        with pytest.raises(TypeError):
+            s.provenance["kind"] = "c1"
+        sac.init(s)
+        # a set built again with d = 2 is another set, proved on its own
+        params = {**s.provenance["params"], "d": 2}
+        edited = HcsSet(config=s.config, length=s.length, sequences=s.sequences,
+                        provenance={**s.provenance, "params": params})
         with pytest.raises(ConfigError, match=r"\(occupancy\).*expected 4$"):
-            sac.init(s)
-        s.provenance["params"]["d"] = 4
-        sac.init(s)
-        sac.init(s)
-        assert len(proofs) == 3
+            sac.init(edited)
+        assert len(proofs) == 2
 
     def test_memo_keeps_no_set_alive(self, cfg24):
         s = construct1(cfg24)
@@ -861,23 +864,21 @@ class TestSlotTableReuse:
         assert table.dtype == np.uint8 and table.shape == (s.length, s.config.load)
         assert not table.flags.writeable
 
-    def test_owner_made_writable_rebuilds_the_table(self, cfg24, table_builds):
+    def test_owner_refuses_to_be_made_writable(self, cfg24, table_builds):
         s = construct1(cfg24)
         script = late_joiner_script(s, frames=20)
         sac.run_script(s, script)
-        # make two level-1 owners writable and swap their frame-0 rows: the
-        # set still verifies, and frame 0's claims change hands
-        a, b = (q.frames for q in s.sequences[3:5])
-        for frames in (a, b):
-            frames.base.setflags(write=True)
-            frames.setflags(write=True)
-        a[0], b[0] = b[0].copy(), a[0].copy()
+        # no table of the set, nor the array over its buffer, can be made
+        # writable, so the kept table stays the set's
+        for q in s.sequences:
+            for frames in views(q.frames):
+                with pytest.raises(ValueError):
+                    frames.setflags(write=True)
         for _ in range(2):
             _, audit, collisions = sac.run_script(s, script)
             assert (list(audit), collisions) == reference_audit(s, script)
-        # a table built while a table is writable is built on every call, not kept
-        assert len(table_builds) == 3
-        assert s not in sac._slot_tables
+        assert len(table_builds) == 1
+        assert s in sac._slot_tables
 
     def test_memo_keeps_no_set_alive(self, cfg24):
         s = construct1(cfg24)
