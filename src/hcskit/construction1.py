@@ -11,12 +11,13 @@ roster every frame uses all t slots exactly once.
 
 Sequence length is t*R frames, within the set size budget of core.max_frames.
 
-The whole set is built in whole-array numpy steps.  Every frame's selector
-rank is decoded at once (``unrank_permutations``): its factorial-base
-digits are taken in uint64, since 20! - 1 fits, and a right-to-left fix-up
-turns those digits into the permutation.  Each level then gets its (user,
-frame, run) positions in one broadcast and its slots in one gather from the
-decoded rows, in the set's slot dtype (core.slot_dtype).
+The set is built in whole-array numpy steps.  Every frame's selector rank
+is decoded at once (``unrank_permutations``): its factorial-base digits are
+taken in uint64, since 20! - 1 fits, and a right-to-left fix-up turns those
+digits into the permutation.  Each level then gets its slots a block of
+frames at a time, in int32 index arithmetic and one gather from the decoded
+rows in the set's slot dtype (core.slot_dtype), and each user's blocks are
+joined into the ``bytes`` that the set keeps as its table.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .core import (
     SystemConfig,
     check_instance,
     check_items,
+    frames_per_block,
     level_offsets,
     max_frames,
     slot_dtype,
@@ -41,6 +43,9 @@ from .core import (
 # 21! does not fit the 64-bit selector entries, so block counts keep the
 # permutation group at 20 elements or fewer.
 MAX_GROUP_SIZE = 20
+# (user, frame, run) cells one pass of construct1 builds of a level, so its
+# int32 index scratch stays near 256 KiB however long the set
+BUILD_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -217,39 +222,50 @@ def construct1(config: SystemConfig, drivers: DriverSequences | None = None) -> 
         drivers = _check_drivers(drivers, params, length)
 
     m = params.m
+    dtype = slot_dtype(config.t)
     perm_rows = unrank_permutations(drivers.selector, m)
     # each frame's permutation row twice over, so the position p + s of two
     # offsets p, s < m is read without a mod; held in the set's slot dtype
-    # (every entry is below m <= t), so each level's gather builds its table
-    # in that dtype
-    wide = np.concatenate(
-        [perm_rows, perm_rows], axis=1, dtype=slot_dtype(config.t), casting="unsafe"
-    ).ravel()
-    row_start = np.arange(length) * (2 * m)
+    # (every entry is below m <= t), so each gather is in that dtype
+    wide = np.concatenate([perm_rows, perm_rows], axis=1, dtype=dtype, casting="unsafe").ravel()
+    # wide has 2 * t * t entries, and the set's t * R * t claims fit the
+    # budget, so every index into wide fits an int32
+    row_start = np.arange(0, len(wide), 2 * m, dtype=np.int32)
 
     sequences = []
     for i, lv in enumerate(config.levels):
+        if not lv.u:
+            continue
         eta = params.eta[i]
-        base = drivers.level_base[i].astype(np.int64, copy=False)
-        users = np.arange(lv.u)
-        # (user, frame) block of each user's run 0, shared by the users with
-        # equal offset j % eta; run theta's block lies theta * eta further on
-        offset = ((base + np.arange(min(lv.u, eta))[:, None]) % eta)[users % eta]
-        # where run 0's position, (offset + omega + group) mod m, sits in wide
-        first = offset + (params.omega[i] + users // eta)[:, None]
-        first %= m
-        first += row_start
-        runs = np.arange(lv.r) * eta
-        # (user, frame, run) slots of the whole level, gathered at once
-        index = first[:, :, None] + runs % m
-        frames = wide.take(index)
-        # index now holds each slot's block, whose first slot is block * m
-        np.add(offset[:, :, None], runs, out=index)
-        index *= m
-        # every slot is below t, so the sum fits the narrow dtype
-        np.add(frames, index, out=frames, casting="unsafe")
-        for j in users.tolist():
-            sequences.append(HcsSequence(level=i, user=j, frames=frames[j]))
+        base = drivers.level_base[i].astype(np.int32)
+        users = np.arange(lv.u, dtype=np.int32)
+        shift, group = users % eta, params.omega[i] + users // eta
+        runs = np.arange(lv.r, dtype=np.int32) * eta
+        parts = [[] for _ in range(lv.u)]
+        step = frames_per_block(BUILD_BLOCK_CELLS, lv.u * lv.r)
+        for lo in range(0, length, step):
+            # (user, frame) block of each user's run 0; run theta's block
+            # lies theta * eta further on
+            offset = base[lo:lo + step] + shift[:, None]
+            offset %= eta
+            # where run 0's position, (offset + omega + group) mod m, sits in wide
+            first = offset + group[:, None]
+            first %= m
+            first += row_start[lo:lo + step]
+            frames = wide.take(first[:, :, None] + runs % m)
+            # each slot's block, whose first slot is block * m: below t, as
+            # is the slot, so both fit the slot dtype
+            blocks = np.add(offset[:, :, None], runs, dtype=dtype, casting="unsafe")
+            blocks *= m
+            frames += blocks
+            # each user's rows are copied out, so the block goes at once and
+            # the level's parts never outgrow its tables
+            for j in range(lv.u):
+                parts[j].append(frames[j].tobytes())
+        for j in range(lv.u):
+            # popped, so each user's parts go as its table is joined
+            table = np.frombuffer(b"".join(parts.pop(0)), dtype).reshape(length, lv.r)
+            sequences.append(HcsSequence(level=i, user=j, frames=table))
 
     params_doc = {"seed": params.seed, "rng": rng.ALGORITHM}
     if injected:

@@ -18,13 +18,14 @@ all collision and occupancy properties hold for any d >= 1.  Provenance
 records such a set as "compat" and a true-order one as "true-order".
 
 The frames come in blocks of t, one per q = frame // t.  Within a block the
-slots depend only on e(q) = digit-sum(q) mod d and the low digit a_1(q),
-so e is built for all d^n blocks, one appended digit per round.  Up to d^2
+slots depend only on e(q) = digit-sum(q) mod d and the low digit a_1(q), so
+e is built for all d^n blocks, one appended digit per round.  Up to d^2
 blocks (n <= 2), each block's slots are computed directly.  Past that, each
 sequence gets a table with one row of t slot tuples per (e, a_1) pair, and
-its frames are one gather from that table.  Either way no table is larger
-than the set: tables are held in the set's slot dtype (core.slot_dtype) and
-computed in int64 a few blocks at a time.
+its frames are gathered from that table.  Either way no table is larger
+than the set: tables are computed in int64 a few blocks at a time, and a
+sequence's blocks, in the set's slot dtype (core.slot_dtype), are joined
+into the ``bytes`` that the set keeps as its table.
 """
 from __future__ import annotations
 
@@ -49,6 +50,10 @@ from .core import (
 # int64 cells one pass of _table takes, so its scratch stays near 64 KiB
 # however long the set
 TABLE_BLOCK_CELLS = 1 << 13
+# table cells one gather of construct2 takes: gathers of 2**15 to 2**19 cells
+# build the t = 16, n = 7 sets (4 MiB of uint8 tables) equally fast, and
+# smaller ones cost more calls, so a gather stays near 128 KiB of uint8
+GATHER_BLOCK_CELLS = 1 << 17
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -154,15 +159,17 @@ def cons2_params(
 
 def _table(rows: np.ndarray, a1: np.ndarray, mult: np.ndarray, t: int) -> np.ndarray:
     """The (len(a1), t, r) table ``(rows + a1[i]) * mult[i] mod t`` of the
-    (t, r) array ``rows``, in ``slot_dtype(t)``.
+    (t, r) array ``rows``, in ``slot_dtype(t)``, over one ``bytes`` object.
 
     It is computed a few blocks at a time in one int64 scratch of about
     TABLE_BLOCK_CELLS cells, written in place: a ufunc that broadcasts into
-    a new array also allocates a buffer of about that array's size.
+    a new array also allocates a buffer of about that array's size.  The
+    blocks are cast to the slot dtype and joined.
     """
-    table = np.empty((len(a1),) + rows.shape, slot_dtype(t))
+    dtype = slot_dtype(t)
     step = min(frames_per_block(TABLE_BLOCK_CELLS, rows.size), len(a1))
     scratch = np.empty((step,) + rows.shape, np.int64)
+    parts = []
     for lo in range(0, len(a1), step):
         block = scratch[:len(a1) - lo]
         hi = lo + len(block)
@@ -170,8 +177,9 @@ def _table(rows: np.ndarray, a1: np.ndarray, mult: np.ndarray, t: int) -> np.nda
         block += a1[lo:hi, None, None]
         block *= mult[lo:hi, None, None]
         block %= t
-        table[lo:hi] = block
-    return table
+        # every slot is below t, so the cast is exact
+        parts.append(block.astype(dtype))
+    return np.frombuffer(b"".join(parts), dtype).reshape((len(a1),) + rows.shape)
 
 
 def construct2(
@@ -216,8 +224,11 @@ def construct2(
             # row + k at slot k of a block, before its shift a1 and unit power
             rows = np.arange(first_row, first_row + lv.r) + np.arange(t)[:, None]
             table = _table(rows, a1, mult, t)
-            frames = table if key is None else table.take(key, axis=0)
-            sequences.append(HcsSequence(level=i, user=j, frames=frames.reshape(length, lv.r)))
+            if key is not None:
+                step = frames_per_block(GATHER_BLOCK_CELLS, table[0].size)
+                parts = [table.take(key[lo:lo + step], axis=0) for lo in range(0, len(key), step)]
+                table = np.frombuffer(b"".join(parts), table.dtype)
+            sequences.append(HcsSequence(level=i, user=j, frames=table.reshape(length, lv.r)))
 
     mode = "true-order" if d is None else "compat"
     return HcsSet(

@@ -115,9 +115,9 @@ def check_db(value, what: str) -> float:
 def frames_per_block(cells: int, per_frame: int) -> int:
     """Frames one blocked numpy pass takes: ``cells // per_frame``, at least 1.
 
-    verify and the sac audit walk a set one block of frames at a time, with
-    ``per_frame`` entries a frame, so a pass's scratch arrays stay near
-    ``cells`` entries however long the set is.
+    verify, the sac audit and the constructions walk a set one block of
+    frames at a time, with ``per_frame`` entries a frame, so a pass's scratch
+    arrays stay near ``cells`` entries however long the set is.
     """
     return max(1, cells // per_frame)
 
@@ -236,11 +236,15 @@ def _immutable(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(arr.astype(dtype, copy=False).tobytes(), dtype).reshape(arr.shape)
 
 
-def _narrows(frames: np.ndarray, dtype: np.dtype, t: int) -> bool:
-    """Whether a set of frame size ``t`` holds the non-empty table ``frames``
-    in a copy in ``dtype``, slot_dtype(t): its slots all lie in 0..t-1, and
-    it is in another dtype."""
-    return frames.dtype != dtype and frames.min() >= 0 and frames.max() < t
+def _held_table(table: np.ndarray, t: int) -> np.ndarray:
+    """The non-empty ``table`` as a set of frame size ``t`` holds it: a copy
+    in ``slot_dtype(t)`` if it is in another dtype and its slots all lie in
+    0..t-1, so the cast is exact; ``table`` itself otherwise, so a table with
+    a slot outside that range keeps its dtype and verify can name the value."""
+    dtype = slot_dtype(t)
+    if table.dtype == dtype or table.min() < 0 or table.max() >= t:
+        return table
+    return table.astype(dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +255,7 @@ class HcsSequence:
     view of a ``bytes`` object, so it can never be written: such a view is
     kept as given, any other array copied once, in its own dtype if it is
     one of those four and to int64 otherwise.  The caller's array is left
-    as it was.  A set holds its in-range tables in ``slot_dtype(t)`` (see
-    HcsSet).
+    as it was.  HcsSet picks the dtype a set's tables are held in.
     """
 
     level: int
@@ -303,10 +306,10 @@ class HcsSet:
 
     Each table whose slots all lie in 0..t-1 is held in ``slot_dtype(t)``: a
     sequence whose table came in another dtype is replaced by one over a
-    copy in that dtype, all such copies sharing one ``bytes`` buffer.  A
-    table with a slot outside that range keeps its dtype, so verify can name
-    the value.  A set thus cannot change, and what is read off it (a proof,
-    the audit's slot table) is kept for the set object.
+    copy in that dtype.  A table with a slot outside that range keeps its
+    dtype, so verify can name the value.  A set thus cannot change, and what
+    is read off it (a proof, the audit's slot table) is kept for the set
+    object.
     """
 
     config: SystemConfig
@@ -329,8 +332,7 @@ class HcsSet:
         seqs = check_items(self.sequences, "sequences")
         for s in seqs:
             check_instance(s, HcsSequence, "sequence")
-        seqs = tuple(sorted(seqs, key=lambda s: (s.level, s.user)))
-        object.__setattr__(self, "sequences", seqs)
+        seqs = sorted(seqs, key=lambda s: (s.level, s.user))
         cfg = self.config
         expected = {(i, j) for i, lv in enumerate(cfg.levels) for j in range(lv.u)}
         seen = [(s.level, s.user) for s in seqs]
@@ -341,7 +343,7 @@ class HcsSet:
                 f"sequence roster mismatch: expected {len(expected)} sequences covering "
                 f"every (level, user) pair, got {len(seen)}"
             )
-        for s in seqs:
+        for k, s in enumerate(seqs):
             if s.length != self.length:
                 raise ConfigError(
                     f"sequence ({s.level},{s.user}) has {s.length} frames, set length is {self.length}"
@@ -351,7 +353,10 @@ class HcsSet:
                     f"sequence ({s.level},{s.user}) has {s.slots_per_frame}-slot frames, "
                     f"level demands {cfg.levels[s.level].r}"
                 )
-        object.__setattr__(self, "sequences", _in_slot_dtype(seqs, cfg.t))
+            table = _held_table(s.frames, cfg.t)
+            if table is not s.frames:
+                seqs[k] = HcsSequence(level=s.level, user=s.user, frames=table)
+        object.__setattr__(self, "sequences", tuple(seqs))
 
     @property
     def t(self) -> int:
@@ -372,36 +377,6 @@ class HcsSet:
 def _plain(value):
     """A mappingproxy's mapping as a new dict; any other value as it is."""
     return dict(value) if isinstance(value, MappingProxyType) else value
-
-
-def _narrowed(table: np.ndarray, dtype: np.dtype, t: int) -> np.ndarray:
-    """A loader's int64 table in ``dtype``, slot_dtype(t), if its slots all
-    lie in 0..t-1, as it is otherwise: narrowed one table at a time, so
-    HcsSequence copies it once and the peak grows by one table at most."""
-    return table.astype(dtype) if _narrows(table, dtype, t) else table
-
-
-def _in_slot_dtype(seqs: tuple[HcsSequence, ...], t: int) -> tuple[HcsSequence, ...]:
-    """``seqs`` with every table of in-range slots in ``slot_dtype(t)``; the
-    tables that change are copied once, into one ``bytes`` buffer."""
-    dtype = slot_dtype(t)
-    # a set's tables are never empty: its length and every r are at least 1
-    moved = [i for i, s in enumerate(seqs) if _narrows(s.frames, dtype, t)]
-    if not moved:
-        return seqs
-    # every moved slot lies in 0..t-1, so the cast is exact
-    buf = _immutable(
-        np.concatenate([seqs[i].frames.ravel() for i in moved], dtype=dtype, casting="unsafe"),
-        dtype,
-    )
-    seqs = list(seqs)
-    at = 0
-    for i in moved:
-        s = seqs[i]
-        table = buf[at:at + s.frames.size].reshape(s.frames.shape)
-        seqs[i] = HcsSequence(level=s.level, user=s.user, frames=table)
-        at += s.frames.size
-    return tuple(seqs)
 
 
 def hamming_correlation(x: Sequence[int], y: Sequence[int], tau: int = 0) -> int:
@@ -554,7 +529,6 @@ def from_document(doc) -> HcsSet:
             f"sequences: expected {config.num_users} entries (one per user), got {len(raw_seqs)}"
         )
     sequences = []
-    dtype = slot_dtype(config.t)
     for si, entry in enumerate(raw_seqs):
         where = f"sequences[{si}]"
         if not isinstance(entry, dict):
@@ -577,9 +551,7 @@ def from_document(doc) -> HcsSet:
             table = np.array(flat, dtype=np.int64).reshape(length, r)
         except OverflowError:
             raise SchemaError(f"{where}.frames: slots must fit in int64") from None
-        sequences.append(
-            HcsSequence(level=level, user=user, frames=_narrowed(table, dtype, config.t))
-        )
+        sequences.append(HcsSequence(level=level, user=user, frames=_held_table(table, config.t)))
     try:
         return HcsSet(
             config=config,
@@ -819,12 +791,12 @@ def _load_canonical(data: bytes) -> HcsSet | None:
         return None
     if numbers.size != count:
         return None
-    sequences, at, dtype = [], 0, slot_dtype(config.t)
+    sequences, at = [], 0
     for i, lv in enumerate(config.levels):
         for j in range(lv.u):
             size = length * lv.r
             table = numbers[at:at + size].reshape(length, lv.r)
-            sequences.append(HcsSequence(level=i, user=j, frames=_narrowed(table, dtype, config.t)))
+            sequences.append(HcsSequence(level=i, user=j, frames=_held_table(table, config.t)))
             at += size + 2
     hcs_set = HcsSet(config=config, length=length, sequences=tuple(sequences), provenance=provenance)
     # the set holds copies of its tables, so dropping the int64 parse and

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -290,6 +291,19 @@ class TestConstruct:
         built = construct1(cfg, drivers)
         assert_same_tables(built, reference_construct1(cfg, drivers))
         assert verify(built).passed
+
+    def test_build_peak_stays_near_its_tables(self):
+        # 8.4M claims in uint16: a level is built a block of frames at a time,
+        # so no index or slot array of the whole level is ever held
+        tracemalloc.start()
+        try:
+            built = construct1(SystemConfig(t=512, levels=((32, 16),), seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = sum(s.frames.nbytes for s in built.sequences)
+        assert tables == 16 << 20
+        assert peak < 2 * tables + (8 << 20)
 
     def test_rebuild_is_identical(self, cfg24, set24):
         again = construct1(cfg24)

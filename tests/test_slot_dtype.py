@@ -80,15 +80,17 @@ def assert_slot_dtype(hcs_set):
 
 @pytest.fixture
 def handed(monkeypatch):
-    """The dtypes of the tables each HcsSet built in the test was handed."""
+    """For each table an HcsSequence built in the test was handed, whether
+    it was kept as given, not copied."""
     seen = []
-    narrow = core._in_slot_dtype
+    immutable = core._immutable
 
-    def recording(seqs, t):
-        seen.append({s.frames.dtype for s in seqs})
-        return narrow(seqs, t)
+    def recording(arr, dtype):
+        kept = immutable(arr, dtype)
+        seen.append(kept is arr)
+        return kept
 
-    monkeypatch.setattr(core, "_in_slot_dtype", recording)
+    monkeypatch.setattr(core, "_immutable", recording)
     return seen
 
 
@@ -98,8 +100,8 @@ def handed(monkeypatch):
                                        (258, ((43, 2),))])
 def test_construct1_builds_in_the_slot_dtype(handed, t, levels):
     built = construct1(SystemConfig(t=t, levels=levels, seed=3))
-    # built in that dtype, so HcsSet has no table to copy
-    assert handed == [{slot_dtype(t)}]
+    # finished tables in that dtype, so neither HcsSequence nor HcsSet copies one
+    assert handed == [True] * len(built.sequences)
     assert_slot_dtype(built)
     assert verify(built).passed
 
@@ -112,7 +114,7 @@ def test_construct2_builds_in_the_slot_dtype(handed, t, n):
     # gather them from a table of d^2 blocks
     g = {255: 16, 256: 255, 257: 16}[t] if n == 3 else None
     built = construct2(SystemConfig(t=t, levels=((1, 2), (3, 1))), n=n, g=g)
-    assert handed == [{slot_dtype(t)}]
+    assert handed == [True] * len(built.sequences)
     assert_slot_dtype(built)
     assert verify(built).passed
 
@@ -144,7 +146,7 @@ def test_every_route_holds_the_slot_dtype(tmp_path, t, route):
 
 
 def test_wider_and_narrower_tables_are_copied_once(set128):
-    # int64 tables narrow, uint16 tables of an 8-slot set too, into one buffer
+    # int64 tables narrow, uint16 tables of an 8-slot set too, each into its own bytes
     dtypes = (np.int64, np.uint16, np.uint8)
     tables = [s.frames.astype(dtype) for s, dtype in zip(set128.sequences, dtypes)]
     sequences = tuple(
@@ -155,7 +157,11 @@ def test_wider_and_narrower_tables_are_copied_once(set128):
                    provenance=set128.provenance)
     assert_slot_dtype(built)
     assert built.sequences[2] is sequences[2]
-    assert built.sequences[0].frames.base is built.sequences[1].frames.base
+    for s in built.sequences[:2]:
+        root = s.frames
+        while isinstance(root, np.ndarray):
+            root = root.base
+        assert type(root) is bytes and len(root) == s.frames.nbytes
     assert [s.frames.tolist() for s in built.sequences] == [t.tolist() for t in tables]
 
 
