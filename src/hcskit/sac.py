@@ -61,10 +61,19 @@ class _VerificationFailed(ConfigError):
 
 def _check_call(user, frame, level=0, where: str = "") -> None:
     """The rule for a user name, a frame and a join level, as a script entry
-    or a SacState call gives them; ValueError, its message led by ``where``."""
+    or a SacState call gives them; ValueError, its message led by ``where``.
+
+    A name is a str that encodes to UTF-8, as the audit CSV is written: a
+    lone surrogate, which JSON can spell, is refused here rather than when
+    the CSV is written.
+    """
     check_int(frame, f"{where}frame", error=ValueError)
     if not isinstance(user, str):
         raise ValueError(f"{where}user must be a name, got {user!r}")
+    try:
+        user.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{where}user must be UTF-8 text, got {user!r}") from None
     check_int(level, f"{where}level", error=ValueError)
 
 
@@ -329,8 +338,8 @@ def _slot_table(hcs_set: HcsSet) -> np.ndarray:
 
     Built once per set object and kept for as long as the set lives, as a
     proof is (see verification._proof).  Kept, not built per replay: the
-    allocator-replay benchmark's 691,200-byte table takes about 0.8 ms to
-    concatenate, near a tenth of that replay's 11 ms median.
+    allocator-replay benchmark's 691,200-byte table takes about 0.7 ms to
+    concatenate, near a tenth of that replay's 8.2 ms median.
     """
     table = _slot_tables.get(hcs_set)
     if table is None:
@@ -376,8 +385,11 @@ def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
     holding of the sequence in the frame, or ``vacant`` (t * H) if none, H
     a power of two no smaller than the number of holdings.  Widened to the
     roster's slot columns, the tags are added to the block's slots shifted
-    up by log2(H), gathered in one pass from the set's side-by-side slot
-    table (see _slot_table), so a claim's key is slot * H + holding, below
+    up by log2(H), read from the set's side-by-side slot table (see
+    _slot_table).  Under global alignment every holder in a frame reads the
+    frame's row, so a block's slots are whole table rows; under per-user
+    alignment each holder counts from its own first frame, so they are one
+    gather per cell.  A claim's key is then slot * H + holding, below
     vacant, and an empty cell's key is at least vacant and below 2 *
     vacant.  Keys are int32 when 2 * vacant fits in an int32, int64
     otherwise.  Each frame's row of keys is sorted on its own, which orders
@@ -396,7 +408,8 @@ def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
     first, stop, sequence = (np.array([h[i] for h in holdings]) for i in (0, 1, 4))
     seqs = state.hcs_set.sequences
     load = state.hcs_set.config.load
-    table = _slot_table(state.hcs_set).ravel()
+    table = _slot_table(state.hcs_set)
+    length = state.hcs_set.length
     widths = np.array([s.slots_per_frame for s in seqs])
     seq_of_column = np.repeat(np.arange(len(seqs)), widths)
     columns = np.arange(load)
@@ -426,15 +439,18 @@ def _audit(state: SacState, end: int) -> tuple[Audit, list[tuple[int, int]]]:
         tag = step[:-1].cumsum(axis=0, dtype=key_type)
         claims = (tag < vacant) @ widths
         frames = np.arange(lo, hi)[:, None]
-        # an empty cell reads the last holding's first frame; its key is at
-        # least vacant whatever slot that reads
-        start = first.take(tag, mode="clip")
-        index = _frame_index(frames, start, state.hcs_set.length, state.alignment)
-        # a global index is one column, shared by every sequence
-        cell = np.broadcast_to(index * load, tag.shape)[:, seq_of_column]
-        cell += columns
-        key = table.take(cell).astype(key_type)
-        key <<= bits
+        if state.alignment == "global":
+            # every holder reads the frame's row, so the slots are whole rows
+            key = np.left_shift(table.take(frames.ravel() % length, axis=0), bits, dtype=key_type)
+        else:
+            # an empty cell reads the last holding's first frame; its key is
+            # at least vacant whatever slot that reads
+            start = first.take(tag, mode="clip")
+            index = _frame_index(frames, start, length, state.alignment)
+            cell = (index * load)[:, seq_of_column]
+            cell += columns
+            key = table.take(cell).astype(key_type)
+            key <<= bits
         key += tag[:, seq_of_column]
         key.sort(axis=1)
         # a row's claims come first: a claim past its row's first whose slot
@@ -471,14 +487,15 @@ def run_script(
     once.  The audit is built once every entry is applied: a grant holds
     from its frame plus the sync delay until its holder leaves.  Each block
     of about AUDIT_BLOCK_ROWS rows is one grid of holders over the roster's
-    slot columns, read from the side-by-side sequence tables in one gather
+    slot columns, read from the side-by-side sequence tables (whole rows
+    under global alignment, one gather per cell under per-user alignment)
     and sorted frame by frame, so no Python loop runs per frame or per
     holding and the scratch stays near AUDIT_BLOCK_ROWS cells.  A script
     that is not a list or tuple, or a malformed entry, one whose frame or
-    join level is not an int >= 0 included, raises ValueError (naming the
-    entry's script position) before any entry is applied, and a script
-    whose audit could exceed MAX_AUDIT_ROWS rows raises ValueError before
-    the allocator is built.
+    join level is not an int >= 0 or whose user is not UTF-8 text included,
+    raises ValueError (naming the entry's script position) before any entry
+    is applied, and a script whose audit could exceed MAX_AUDIT_ROWS rows
+    raises ValueError before the allocator is built.
     """
     entries = []
     for pos, entry in enumerate(check_items(script, "script", error=ValueError)):

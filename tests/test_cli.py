@@ -623,6 +623,8 @@ class TestSacTrace:
             ({"frame": 2.5, "action": "leave", "user": "A"}, "frame must be a non-negative int"),
             ({"frame": 2, "action": "leave"}, "user must be a name"),
             ({"frame": 2, "action": "join", "user": ["B"], "level": 0}, "user must be a name"),
+            # the trace JSON could escape a lone surrogate, the audit CSV could not encode it
+            ({"frame": 2, "action": "join", "user": "\ud800", "level": 0}, "user must be UTF-8 text"),
             ({"frame": 2, "action": "join", "user": "B"}, "level must be a non-negative int"),
             ({"frame": 2, "action": "join", "user": "B", "level": None}, "level must be a non-negative int"),
             ([2, "join", "B"], "expected an object"),
@@ -646,7 +648,9 @@ class TestSacTrace:
         err = json.loads(lines[0])
         assert err["error"] == "value-error"
         assert err["message"].startswith("script entry 1: " + reason)
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "script.json", "set2.json", "set2.json.manifest.json"
+        ]
 
     def test_far_frame_exits_3(self, tmp_path, capsys):
         set_path = tmp_path / "set2.json"

@@ -208,8 +208,14 @@ class TestAssignmentFlow:
             (lambda s: s.request_access("a", 1, 5), "already holds"),
             (lambda s: s.request_access("w", 2, 5), "already waiting"),
             (lambda s: s.release("nobody", 5), "holds no sequence and is not waiting"),
+            (lambda s: s.request_access("\ud800", 0, 5), "user must be UTF-8 text"),
+            (lambda s: s.release("a\udfff", 5), "user must be UTF-8 text"),
+            (lambda s: s.slots_for("\ud800", 5), "user must be UTF-8 text"),
         ],
-        ids=["unknown-level", "holder", "waiting", "release-unknown"],
+        ids=[
+            "unknown-level", "holder", "waiting", "release-unknown",
+            "join-surrogate", "release-surrogate", "lookup-surrogate",
+        ],
     )
     def test_refusal_leaves_clock_and_events(self, set24, call, message):
         state = sac.init(set24)
@@ -308,6 +314,18 @@ class TestRunScript:
         state, _, _ = sac.run_script(set24, script)
         assert len(calls) == len(script)
         assert state.events == reference.events
+
+    def test_name_that_is_not_utf8_is_refused_before_any_entry(self, set24, monkeypatch):
+        # JSON can spell a lone surrogate, which no UTF-8 audit CSV can hold
+        applied = []
+        monkeypatch.setattr(sac.SacState, "_join", lambda *args: applied.append(args))
+        script = [
+            {"frame": 0, "action": "join", "user": "a", "level": 0},
+            {"frame": 1, "action": "join", "user": "\ud800", "level": 0},
+        ]
+        with pytest.raises(ValueError, match=r"^script entry 1: user must be UTF-8 text"):
+            sac.run_script(set24, script)
+        assert applied == []
 
     def test_random_churn_collision_free(self, set24, set128):
         for hcs_set, seed in ((set24, 1), (set24, 2), (set128, 3)):
@@ -582,6 +600,52 @@ class TestAuditGrid:
         assert (list(audit), collisions) == want
         assert column_dtypes(audit) == expected_dtypes(hcs_set, want[0], len(audit.holdings))
 
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        hcs_set=small_sets().filter(lambda s: s.sequences),
+        data=st.data(),
+        block_rows=st.sampled_from([1, 7, 2**15]),
+    )
+    def test_alignments_agree_when_every_holder_joins_at_frame_0(
+        self, hcs_set, data, block_rows
+    ):
+        # every user joins at frame 0, with no sync delay and no more users a
+        # level than its pool, so nobody waits and each holder's own frame
+        # count is the network's: per-user indexing is global indexing.  Users
+        # leave at random frames up to a few table lengths in, so the table
+        # wraps inside a block
+        sequences = range(len(hcs_set.sequences))
+        held = data.draw(st.lists(st.sampled_from(sequences), min_size=1, unique=True))
+        end = data.draw(st.integers(hcs_set.length + 1, 3 * hcs_set.length))
+        script = [
+            {"frame": 0, "action": "join", "user": f"u{sid}", "level": q.level}
+            for sid in held
+            for q in [hcs_set.sequences[sid]]
+        ]
+        # the first user leaves at the end, so every audit runs to the same frame
+        others = len(held) - 1
+        leaves = [end] + data.draw(
+            st.lists(st.none() | st.integers(1, end), min_size=others, max_size=others)
+        )
+        script += [
+            {"frame": frame, "action": "leave", "user": f"u{sid}"}
+            for sid, frame in zip(held, leaves)
+            if frame is not None
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sac, "AUDIT_BLOCK_ROWS", block_rows)
+            glob, per_user = (
+                sac.run_script(hcs_set, script, alignment=alignment)[1:]
+                for alignment in sac.ALIGNMENTS
+            )
+        assert glob[1] == per_user[1] == []
+        assert glob[0].holdings == per_user[0].holdings
+        for name in ("frame", "slot", "holding"):
+            got, want = getattr(glob[0], name), getattr(per_user[0], name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the first user holds past the table's last row, so the index wraps
+        assert glob[0].frame[-1] >= hcs_set.length
+
     @pytest.mark.parametrize("t, dtype", [(256, np.uint8), (257, np.uint16)])
     @pytest.mark.parametrize("alignment", sac.ALIGNMENTS)
     def test_slot_table_width_edges(self, t, dtype, alignment):
@@ -820,11 +884,14 @@ class TestColumnWidth:
         assert len(audit.holdings) == holdings and audit.holding.max() == holdings - 1
         assert column_dtypes(audit) == [np.uint8, np.uint8, np.dtype(dtype)]
 
-    def test_replay_memory_is_its_columns_and_a_block(self, set24):
+    @pytest.mark.parametrize("alignment, row_bytes", [("global", 24), ("per-user", 64)])
+    def test_replay_memory_is_its_columns_and_a_block(self, set24, alignment, row_bytes):
         # 2**16 saturated frames, 1,572,864 rows: beyond its 4-byte rows
         # (uint16 frame, uint8 slot and holding) the audit needs only its
-        # block scratch, whatever the number of rows
-        state = sac.init(set24)
+        # block scratch, whatever the number of rows.  A global block reads
+        # whole table rows, about 21 bytes a block row; a per-user block
+        # gathers cell by cell through an int64 index grid, about 36
+        state = sac.init(set24, alignment=alignment)
         for i, s in enumerate(set24.sequences):
             state.request_access(f"u{i}", s.level, 0)
         tracemalloc.start()
@@ -835,8 +902,7 @@ class TestColumnWidth:
             tracemalloc.stop()
         assert collisions == [] and len(audit) == set24.config.load << 16 >= 1 << 20
         assert column_bytes(audit) == 4 * len(audit)
-        # about 32 bytes a block row
-        assert peak - column_bytes(audit) < 64 * sac.AUDIT_BLOCK_ROWS
+        assert peak - column_bytes(audit) < row_bytes * sac.AUDIT_BLOCK_ROWS
 
 
 @pytest.fixture
