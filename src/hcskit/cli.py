@@ -11,7 +11,12 @@ parameters, 4 verification gate failed, 5 file or schema error.  Every
 failure, a usage error or a failed pipeline stage included, prints a single
 JSON object on stderr.  Every JSON input (set file, sac script, pipeline
 plan) is read by ``core.read_json``, so one that is not UTF-8 JSON exits 5;
-each plan stage names a subcommand other than pipeline.
+each plan stage starts with a subcommand other than pipeline.
+
+Each run keeps one record of the files it reads and writes (see
+``core._recording``): its manifests take their digests from it, and a
+pipeline plan's stages record into the plan's record, so a stage that loads
+a set an earlier stage saved gets that set back.
 
 Usage examples:
     hcs gen1 --t 24 --levels 2:3,3:4,6:1 --seed 7 --out set1.json
@@ -49,8 +54,7 @@ from .core import (
     ConfigError,
     SchemaError,
     SystemConfig,
-    _keeping_written,
-    _recording_digests,
+    _recording,
     _tables_bytes,
     dumps_document,
     load_set,
@@ -153,11 +157,11 @@ def _draw_seed() -> int:
 
 
 def _write_manifest(
-    args: argparse.Namespace, outputs: list[Path], started: float, digests: dict
+    args: argparse.Namespace, outputs: list[Path], started: float, record: dict
 ) -> None:
-    """One manifest next to the first output, with the digests ``digests``
-    recorded of the bytes the stage read from its input files and last wrote
-    to its outputs.  None when the first output is not a regular file (a
+    """One manifest next to the first output, with the digests ``record``
+    holds of the bytes the stage read from its input files and last wrote to
+    its outputs.  None when the first output is not a regular file (a
     device or a FIFO), whose directory is no place for a manifest."""
     if not outputs[0].is_file():
         return
@@ -167,8 +171,8 @@ def _write_manifest(
         "subcommand": args.subcommand,
         "parameters": params,
         "seeds": [params[key] for key in ("seed", "assign_seed") if params.get(key) is not None],
-        "inputs": {str(p): digests["read"][p.resolve()].hex() for p in inputs},
-        "outputs": {str(p): digests["written"][p.resolve()].hex() for p in outputs},
+        "inputs": {str(p): record[p.resolve()]["read"].hex() for p in inputs},
+        "outputs": {str(p): record[p.resolve()]["written"][0].hex() for p in outputs},
         "tool_version": __version__,
         "duration_s": round(time.monotonic() - started, 6),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -402,23 +406,27 @@ def _cmd_pipeline(args: argparse.Namespace) -> list[Path]:
     doc = read_json(path)
     stages = doc.get("stages") if isinstance(doc, dict) else None
     if not isinstance(stages, list) or any(
-        not isinstance(s, list) or not s or any(not isinstance(a, str) for a in s) for s in stages
+        not isinstance(s, list) or any(not isinstance(a, str) for a in s) for s in stages
     ):
         raise SchemaError(f"{path}: expected {{'stages': [[arg, ...], ...]}}")
-    if any(stage[:1] == ["pipeline"] for stage in stages):
-        raise SchemaError(f"{path}: a plan cannot run a pipeline stage")
-    # a stage that loads a set an earlier stage saved gets that set back
-    with _keeping_written():
-        for number, stage in enumerate(stages):
-            print(f"[stage {number}] " + " ".join(stage))
-            try:
-                _run(stage)
-            except _Failure as failure:
-                raise _Failure(
-                    failure.code,
-                    failure.kind,
-                    f"[stage {number}] failed with exit code {failure.code}: {failure}",
-                ) from failure
+    # every stage is checked before any runs, so a refused plan writes nothing
+    for number, stage in enumerate(stages):
+        if stage[:1] == ["pipeline"]:
+            raise SchemaError(f"{path}: a plan cannot run a pipeline stage")
+        if not stage or stage[0] not in _parser()._subcommands:
+            raise SchemaError(f"{path}: [stage {number}] does not start with a subcommand")
+    # each stage records into this run's record, so a stage that loads a set
+    # an earlier stage saved gets that set back
+    for number, stage in enumerate(stages):
+        print(f"[stage {number}] " + " ".join(stage))
+        try:
+            _run(stage)
+        except _Failure as failure:
+            raise _Failure(
+                failure.code,
+                failure.kind,
+                f"[stage {number}] failed with exit code {failure.code}: {failure}",
+            ) from failure
     return []
 
 
@@ -511,6 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="JSON: {'stages': [[subcommand, flag, ...], ...]}")
     p.set_defaults(func=_cmd_pipeline)
 
+    # the names a pipeline stage may start with
+    parser._subcommands = tuple(sub.choices)
     return parser
 
 
@@ -534,14 +544,14 @@ def _run(argv: list[str]) -> int:
     started = time.monotonic()
     failure = None
     try:
-        with _recording_digests() as digests:
+        with _recording() as record:
             try:
                 outputs = args.func(args)
             except _Failure as exc:
                 # a failed verify --out has written its report all the same
                 outputs, failure = exc.outputs, exc
             if outputs:
-                _write_manifest(args, outputs, started, digests)
+                _write_manifest(args, outputs, started, record)
     except SchemaError as exc:
         raise _Failure(EXIT_IO, "schema-error", exc) from exc
     except sac._VerificationFailed as exc:

@@ -19,13 +19,13 @@ records such a set as "compat" and a true-order one as "true-order".
 
 The frames come in blocks of t, one per q = frame // t.  Within a block the
 slots depend only on e(q) = digit-sum(q) mod d and the low digit a_1(q), so
-e is built for all d^n blocks, one appended digit per round.  Up to d^2
-blocks (n <= 2), each block's slots are computed directly.  Past that, each
-sequence gets a table with one row of t slot tuples per (e, a_1) pair, and
-its frames are gathered from that table.  Either way no table is larger
-than the set: tables are computed in int64 a few blocks at a time, and a
-sequence's blocks, in the set's slot dtype (core.slot_dtype), are joined
-into the ``bytes`` that the set keeps as its table.
+e is built for all d^n blocks, one appended digit per round.  Each sequence
+gets a table with one row of t slot tuples per (e, a_1) pair that occurs
+(at most d^2 of them, and never more than there are blocks), and its frames
+are gathered from that table, so no table is larger than the set.  Tables
+are computed in int64 a few blocks at a time, and a sequence's gathered
+blocks, in the set's slot dtype (core.slot_dtype), are joined into the
+``bytes`` that the set keeps as its table.
 """
 from __future__ import annotations
 
@@ -208,12 +208,10 @@ def construct2(
         e = (e[:, None] + np.arange(params.d)).ravel()
     e %= params.d
     a1 = np.arange(len(e)) % params.d
-    # a block's rows depend only on (e, a1); past d^2 blocks, build one table
-    # row per (e, a1) key and gather it, so the table never outgrows the set
-    key = None
-    if len(e) > params.d**2:
-        key = e * params.d + a1
-        e, a1 = np.divmod(np.arange(params.d**2), params.d)
+    # a block's rows depend only on (e, a1): build one table row per key that
+    # occurs and gather the blocks from it, so the table never outgrows the set
+    keys, key = np.unique(e * params.d + a1, return_inverse=True)
+    e, a1 = np.divmod(keys, params.d)
     pow_g = np.array([pow(params.g, x, t) for x in range(params.d)], dtype=np.int64)
     mult = pow_g[e]
 
@@ -224,11 +222,14 @@ def construct2(
             # row + k at slot k of a block, before its shift a1 and unit power
             rows = np.arange(first_row, first_row + lv.r) + np.arange(t)[:, None]
             table = _table(rows, a1, mult, t)
-            if key is not None:
-                step = frames_per_block(GATHER_BLOCK_CELLS, table[0].size)
-                parts = [table.take(key[lo:lo + step], axis=0) for lo in range(0, len(key), step)]
-                table = np.frombuffer(b"".join(parts), table.dtype)
-            sequences.append(HcsSequence(level=i, user=j, frames=table.reshape(length, lv.r)))
+            step = frames_per_block(GATHER_BLOCK_CELLS, table[0].size)
+            parts = [table.take(key[lo:lo + step], axis=0) for lo in range(0, len(key), step)]
+            # the table goes before the join and the parts after it, so at most
+            # two of the table, its gathered parts and their join are ever held
+            del table
+            frames = np.frombuffer(b"".join(parts), slot_dtype(t)).reshape(length, lv.r)
+            del parts
+            sequences.append(HcsSequence(level=i, user=j, frames=frames))
 
     mode = "true-order" if d is None else "compat"
     return HcsSet(

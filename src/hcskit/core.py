@@ -13,6 +13,10 @@ Vocabulary used throughout the toolkit:
 Slot numbers are plain ints so the modular arithmetic of the constructions
 composes directly; slot-tuple validity (range, distinctness) is enforced by
 the constructions that emit them and re-checked by the verification module.
+
+Files are read and written here.  Within a CLI run (``_recording``) each
+read and write goes into the run's one record, which the manifests and a
+plan's later stages read back; library calls outside a run record nothing.
 """
 from __future__ import annotations
 
@@ -563,40 +567,34 @@ def from_document(doc) -> HcsSet:
         raise SchemaError(str(exc)) from exc
 
 
-# while a CLI stage runs, the sha256 of the bytes each file gave the stage's
-# reads and took from its last write, keyed by resolved path, reads and writes
-# apart; None outside a stage, so library calls hash nothing
-_digests: dict | None = None
+# while a CLI run goes, each file it read or wrote, keyed by resolved path:
+# {"read": sha256 of the bytes last read, "written": (sha256 of the bytes last
+# written, the set save_set wrote with them or None)}.  A pipeline plan's
+# stages record into the plan's record; None outside a run, so library calls
+# hash and keep nothing
+_record: dict | None = None
 
 
 @contextlib.contextmanager
-def _recording_digests():
-    """A scope, one CLI stage, over which the readers and the writer record
-    file digests; yields {"read": {...}, "written": {...}}.  An enclosing
-    scope's record is set aside until this one ends."""
-    global _digests
-    outer, _digests = _digests, {"read": {}, "written": {}}
+def _recording():
+    """A scope, one CLI run, over which the readers and the writer record
+    what files gave and took; yields the record.  The outermost scope
+    creates it and drops it when it ends, also with an exception, so every
+    set saved in a run is held until then; a nested scope (a plan's stage)
+    records into its plan's."""
+    global _record
+    outer = _record
+    if outer is None:
+        _record = {}
     try:
-        yield _digests
+        yield _record
     finally:
-        _digests = outer
+        _record = outer
 
 
-def _record_digest(kind: str, path, data) -> bytes | None:
-    """The sha256 of ``data``, the bytes ``path`` gave a read (kind "read")
-    or took from a write ("written"), recorded while a stage runs.  None,
-    and nothing hashed, unless a stage or a pipeline plan scope is open."""
-    if _digests is None and _written is None:
-        return None
-    digest = hashlib.sha256(data).digest()
-    if _digests is not None:
-        _digests[kind][Path(path).resolve()] = digest
-    return digest
-
-
-def _write_bytes(path, data: bytes) -> bytes | None:
-    """Write ``data`` to path, creating missing parent directories; returns
-    ``_record_digest``'s digest of it.
+def _write_bytes(path, data: bytes, hcs_set: HcsSet | None = None) -> None:
+    """Write ``data`` to path, creating missing parent directories; in a
+    run, record its digest and ``hcs_set``, the set it holds if any.
 
     The file is rewritten in place: opened without truncation, written over,
     and then, if it is a regular file, cut to the new length, which leaves
@@ -611,7 +609,9 @@ def _write_bytes(path, data: bytes) -> bytes | None:
         f.write(data)
         if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
             f.truncate()
-    return _record_digest("written", path, data)
+    if _record is not None:
+        entry = _record.setdefault(path.resolve(), {})
+        entry["written"] = hashlib.sha256(data).digest(), hcs_set
 
 
 def write_text(path, text: str) -> None:
@@ -810,40 +810,23 @@ def _load_canonical(data: bytes) -> HcsSet | None:
     return hcs_set if same else None
 
 
-# while a pipeline plan runs, each set its stages saved, keyed by resolved
-# path: (sha256 of the bytes written, the set); None outside a plan
-_written: dict | None = None
-
-
-@contextlib.contextmanager
-def _keeping_written():
-    """A scope, one pipeline plan, in which load_set gives back the set
-    save_set wrote to a path while the file still holds those bytes.
-
-    Every set saved in the scope is held until it ends, also when it ends
-    with an exception.
-    """
-    global _written
-    _written = {}
-    try:
-        yield
-    finally:
-        _written = None
-
-
-def _kept_set(path, digest: bytes | None) -> HcsSet | None:
-    """The set saved to ``path`` in this scope if ``digest``, the sha256 of
-    the bytes read there, is that of the bytes written; None otherwise, and
-    outside a scope."""
-    kept = _written.get(Path(path).resolve()) if _written is not None else None
-    return kept[1] if kept is not None and kept[0] == digest else None
-
-
 def save_set(hcs_set: HcsSet, path) -> None:
     """Write ``dumps_document(to_document(hcs_set))`` to path, from the slot tables."""
-    digest = _write_bytes(path, _canonical_bytes(hcs_set))
-    if _written is not None:
-        _written[Path(path).resolve()] = digest, hcs_set
+    _write_bytes(path, _canonical_bytes(hcs_set), hcs_set)
+
+
+def _read(path) -> tuple[bytes, HcsSet | None]:
+    """The bytes of a file and, in a run, the set save_set wrote there in
+    the run if the file still holds the bytes it wrote (None otherwise);
+    in a run, records the digest of the bytes read."""
+    check_instance(path, (str, os.PathLike), "path")
+    data = Path(path).read_bytes()
+    if _record is None:
+        return data, None
+    entry = _record.setdefault(Path(path).resolve(), {})
+    entry["read"] = digest = hashlib.sha256(data).digest()
+    written, kept = entry.get("written", (None, None))
+    return data, kept if written == digest else None
 
 
 def _parse_json(path, data: bytes):
@@ -869,9 +852,7 @@ def read_json(path):
     that are not UTF-8, integers beyond Python's digit limit and nesting too
     deep to parse.
     """
-    check_instance(path, (str, os.PathLike), "path")
-    data = Path(path).read_bytes()
-    _record_digest("read", path, data)
+    data, _ = _read(path)
     return _parse_json(path, data)
 
 
@@ -879,12 +860,10 @@ def load_set(path) -> HcsSet:
     """The set in a file: a canonical file is read in numpy, any other text
     as ``from_document(read_json(path))``, with the same result or error.
 
-    Within a pipeline plan, a file that still holds the bytes save_set wrote
-    there gives back the set it wrote (see ``_kept_set``).
+    Within a CLI run, a file that still holds the bytes save_set wrote there
+    gives back the set it wrote (see ``_read``).
     """
-    check_instance(path, (str, os.PathLike), "path")
-    data = Path(path).read_bytes()
-    hcs_set = _kept_set(path, _record_digest("read", path, data))
+    data, hcs_set = _read(path)
     if hcs_set is None:
         hcs_set = _load_canonical(data)
     return from_document(_parse_json(path, data)) if hcs_set is None else hcs_set

@@ -994,10 +994,19 @@ class TestPipeline:
         err = assert_schema_error(capsys, ["pipeline", str(plan)])
         assert err["message"] == f"{plan}: a plan cannot run a pipeline stage"
 
-    def test_stage_without_subcommand_refused(self, tmp_path, capsys):
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"stages": [["bound", "--t", "8", "--levels", LEVELS8], []]}))
-        assert_schema_error(capsys, ["pipeline", str(plan)])
+    @pytest.mark.parametrize(
+        "stage",
+        [[], ["--version"], ["--help"], ["frobnicate"], ["--seed", "1"]],
+        ids=["empty", "version", "help", "unknown", "option"],
+    )
+    def test_stage_without_subcommand_refused(self, tmp_path, capsys, stage):
+        # refused before the gen1 stage ahead of it runs
+        plan, out = tmp_path / "plan.json", tmp_path / "out" / "a.json"
+        gen1 = ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "1", "--out", str(out)]
+        plan.write_text(json.dumps({"stages": [gen1, stage]}))
+        err = assert_schema_error(capsys, ["pipeline", str(plan)])
+        assert err["message"] == f"{plan}: [stage 1] does not start with a subcommand"
+        assert not out.parent.exists()
 
     def test_demo_manifests_digest_the_files_on_disk(self, tmp_path, monkeypatch, capsys):
         shutil.copytree(DEMOS, tmp_path / "demos")
@@ -1220,7 +1229,7 @@ class TestPipelineKeepsWrittenSets:
             except SchemaError as exc:
                 return str(exc)
 
-        with core._keeping_written():
+        with core._recording():
             core.save_set(set24, path)
             data = path.read_bytes()
             if edit == "indent":
@@ -1238,7 +1247,7 @@ class TestPipelineKeepsWrittenSets:
     def test_kept_set_refuses_to_be_made_writable(self, tmp_path, set128):
         path = tmp_path / "set.json"
         hcs_set = remake_set(set128, lambda i, frames: None)
-        with core._keeping_written():
+        with core._recording():
             core.save_set(hcs_set, path)
             assert core.load_set(path) is hcs_set
             # the kept set's tables cannot be written, so it stays the set
@@ -1252,18 +1261,31 @@ class TestPipelineKeepsWrittenSets:
     def test_outside_a_plan_nothing_is_kept(self, tmp_path, set24):
         path = tmp_path / "set.json"
         core.save_set(set24, path)
-        assert core._written is None
+        assert core._record is None
         assert core.load_set(path) is not set24
 
-    @pytest.mark.parametrize("last", ["verify", "missing"])
-    def test_no_written_set_outlives_the_plan(self, tmp_path, capsys, calls, last):
+    def test_no_record_outlives_a_standalone_run(self, tmp_path, capsys, calls):
+        set1 = tmp_path / "set1.json"
+        assert dispatch(["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "7", "--out", str(set1)]) == 0
+        assert core._record is None
+        assert core.load_set(set1) is not calls["saved"][0]
+        assert dispatch(["verify", str(tmp_path / "missing.json")]) == 5
+        capsys.readouterr()
+        assert core._record is None
+
+    @pytest.mark.parametrize(
+        "last, code",
+        [(["verify", "{set2}"], 0), (["verify", "{missing}"], 5), (["verify", "--bogus"], 2)],
+        ids=["verify", "missing", "usage"],
+    )
+    def test_no_written_set_outlives_the_plan(self, tmp_path, capsys, calls, last, code):
         set1, set2 = tmp_path / "set1.json", tmp_path / "set2.json"
         stages = [
             ["gen1", "--t", "24", "--levels", LEVELS24, "--seed", "7", "--out", str(set1)],
             gen2_args(set2),
-            ["verify", str(set2 if last == "verify" else tmp_path / "missing.json")],
+            [a.format(set2=set2, missing=tmp_path / "missing.json") for a in last],
         ]
-        assert dispatch(self.plan(tmp_path, stages)) == (0 if last == "verify" else 5)
+        assert dispatch(self.plan(tmp_path, stages)) == code
         capsys.readouterr()
         refs = [weakref.ref(s) for s in calls["saved"]]
         calls["saved"].clear()
@@ -1271,4 +1293,4 @@ class TestPipelineKeepsWrittenSets:
         gc.collect()
         assert len(refs) == 2
         assert [r() for r in refs] == [None, None]
-        assert core._written is None
+        assert core._record is None

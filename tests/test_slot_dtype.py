@@ -110,8 +110,8 @@ def test_construct1_builds_in_the_slot_dtype(handed, t, levels):
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("t", EDGES[:3])
 def test_construct2_builds_in_the_slot_dtype(handed, t, n):
-    # one round computes every block; three, with a unit of order 2 or 4,
-    # gather them from a table of d^2 blocks
+    # one round gathers each block from its own table row; three, with a unit
+    # of order 2 or 4, gather d^3 blocks from a table of d^2 rows
     g = {255: 16, 256: 255, 257: 16}[t] if n == 3 else None
     built = construct2(SystemConfig(t=t, levels=((1, 2), (3, 1))), n=n, g=g)
     assert handed == [True] * len(built.sequences)
@@ -131,7 +131,7 @@ def test_every_route_holds_the_slot_dtype(tmp_path, t, route):
         path.write_text(json.dumps(to_document(built), indent=1))
         got = load_set(path)
     elif route == "kept":
-        with core._keeping_written():
+        with core._recording():
             save_set(built, path)
             got = load_set(path)
         assert got is built
